@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,6 @@ import (
 
 	"opaq/internal/core"
 	"opaq/internal/engine"
-	"opaq/internal/histogram"
 	"opaq/internal/runio"
 )
 
@@ -29,16 +27,13 @@ var (
 	// ErrNoSurvivors reports a scatter-gather in which every owner of the
 	// tenant was unreachable — there is nothing to answer from, degraded
 	// or otherwise.
-	ErrNoSurvivors = errors.New("cluster: no surviving owner")
+	ErrNoSurvivors = fmt.Errorf("cluster: %w: no surviving owner", engine.ErrUnavailable)
 	// errBadWorker reports a worker answering outside its protocol
 	// (unexpected status, undecodable summary) — a bug or version skew,
 	// not an outage.
-	errBadWorker = errors.New("cluster: unexpected worker response")
-	errBadGather = errors.New("cluster: bad request")
+	errBadWorker = fmt.Errorf("cluster: %w: unexpected worker response", engine.ErrBadUpstream)
+	errBadGather = fmt.Errorf("cluster: %w", engine.ErrBadRequest)
 )
-
-// maxQuantiles mirrors the engine handler's cap on GET /quantiles.
-const maxQuantiles = 4096
 
 // maxProxyBody bounds an ingest body buffered for relay; workers enforce
 // their own (smaller) limits on top.
@@ -103,7 +98,12 @@ type Options[T cmp.Ordered] struct {
 const defaultOwnerQuarantine = 2 * time.Second
 
 // Coordinator scatter-gathers a worker fleet behind the engine's HTTP
-// surface. All methods are safe for concurrent use.
+// surface. Its read routes are the engine's own (engine.ReadRoutes) over
+// a source that resolves a tenant to the fleet's merged summary and
+// histogram, so a coordinator answers every read exactly as one engine
+// holding the same data would, plus a partial flag. Ingest relay and
+// journaling, admin, /stats and /healthz are its own. All methods are
+// safe for concurrent use.
 type Coordinator[T cmp.Ordered] struct {
 	opts    Options[T]
 	ring    *Ring
@@ -169,6 +169,9 @@ func New[T cmp.Ordered](opts Options[T]) (*Coordinator[T], error) {
 	buckets := opts.Buckets
 	if buckets == 0 {
 		buckets = engine.DefaultBuckets
+	}
+	if buckets < 1 {
+		return nil, fmt.Errorf("cluster: Buckets must be non-negative, got %d", opts.Buckets)
 	}
 	client := opts.Client
 	if client == nil {
@@ -243,11 +246,8 @@ func (c *Coordinator[T]) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, prefix := range []string{"", "/t/{tenant}"} {
 		mux.HandleFunc("POST "+prefix+"/ingest", c.withTenant(c.ingest))
-		mux.HandleFunc("GET "+prefix+"/quantile", c.withTenant(c.quantile))
-		mux.HandleFunc("GET "+prefix+"/quantiles", c.withTenant(c.quantiles))
-		mux.HandleFunc("GET "+prefix+"/selectivity", c.withTenant(c.selectivity))
 		mux.HandleFunc("GET "+prefix+"/stats", c.withTenant(c.stats))
-		mux.HandleFunc("GET "+prefix+"/summary", c.withTenant(c.summary))
+		engine.ReadRoutes(mux, prefix, c.view, c.opts.Parse, c.opts.Codec)
 	}
 	mux.HandleFunc("POST /admin/tenants", c.adminCreate)
 	mux.HandleFunc("GET /admin/tenants", c.adminList)
@@ -256,47 +256,54 @@ func (c *Coordinator[T]) Handler() http.Handler {
 	return mux
 }
 
+// requestTenant is the request's tenant, rejected unless it is fit to
+// route to workers.
+func requestTenant(r *http.Request) (string, error) {
+	tenant := engine.RequestTenant(r)
+	if !engine.ValidTenantName(tenant) {
+		return "", fmt.Errorf("%w: %q", engine.ErrTenantName, tenant)
+	}
+	return tenant, nil
+}
+
 func (c *Coordinator[T]) withTenant(f func(tenant string, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tenant := r.PathValue("tenant")
-		if tenant == "" {
-			tenant = engine.DefaultTenant
-		}
-		if !engine.ValidTenantName(tenant) {
-			writeErr(w, fmt.Errorf("%w: %q", engine.ErrTenantName, tenant))
+		tenant, err := requestTenant(r)
+		if err != nil {
+			engine.WriteErr(w, err)
 			return
 		}
 		f(tenant, w, r)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeErr maps coordinator errors onto statuses, extending the engine
-// handler's mapping with the fleet-level outcomes: every owner down is
-// 503 (outage), a protocol-breaking worker is 502 (bad gateway), and a
-// context killed by shutdown or a gone client is 503.
-func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, engine.ErrUnknownTenant):
-		status = http.StatusNotFound
-	case errors.Is(err, core.ErrEmpty), errors.Is(err, engine.ErrTenantExists):
-		status = http.StatusConflict
-	case errors.Is(err, core.ErrPhi), errors.Is(err, errBadGather),
-		errors.Is(err, engine.ErrTenantName), errors.Is(err, core.ErrConfig):
-		status = http.StatusBadRequest
-	case errors.Is(err, ErrNoSurvivors),
-		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, errBadWorker):
-		status = http.StatusBadGateway
+// view is the coordinator's read source: the tenant's gathered merge.
+// Non-partial answers carry a strong ETag derived from the owner version
+// vector and reuse the gather cache's serialized merge for /summary, so
+// downstream pollers (opaqclient.Query.Summary) get the same 304 fast
+// path the coordinator itself uses against workers.
+func (c *Coordinator[T]) view(r *http.Request) (engine.View[T], error) {
+	tenant, err := requestTenant(r)
+	if err != nil {
+		return engine.View[T]{}, err
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	ctx, cancel := c.reqCtx(r)
+	defer cancel()
+	g, err := c.gather(ctx, tenant)
+	if err != nil {
+		return engine.View[T]{}, err
+	}
+	v := engine.View[T]{Snap: g.snap, Partial: g.partial}
+	if g.key != "" {
+		// Hash the vector: the joined worker tags are unbounded and leak
+		// fleet internals; 128 bits of SHA-256 keep the strong-tag
+		// property (vector determines bytes) in a fixed-width header.
+		h := sha256.Sum256([]byte(g.key))
+		v.ETag = `"` + hex.EncodeToString(h[:16]) + `"`
+		v.Raw = g.raw
+		v.Keep = func(raw []byte) { c.cache.attachMergedRaw(tenant, g.snap, raw) }
+	}
+	return v, nil
 }
 
 // ingest relays the request body — JSON or binary frames, the worker
@@ -318,14 +325,7 @@ func (c *Coordinator[T]) ingest(tenant string, w http.ResponseWriter, r *http.Re
 	r.Body = http.MaxBytesReader(w, r.Body, maxProxyBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-				"error": fmt.Sprintf("body exceeds %d bytes; split the batch", tooBig.Limit),
-			})
-			return
-		}
-		writeErr(w, fmt.Errorf("%w: reading body: %v", errBadGather, err))
+		engine.WriteErr(w, fmt.Errorf("%w: reading body: %w", errBadGather, err))
 		return
 	}
 	contentType := r.Header.Get("Content-Type")
@@ -340,14 +340,14 @@ func (c *Coordinator[T]) ingest(tenant string, w http.ResponseWriter, r *http.Re
 	resp, err := c.deliverBatch(ctx, tenant, contentType, body, c.orderOwners(owners, start))
 	if err != nil {
 		if ctx.Err() != nil {
-			writeErr(w, ctx.Err())
+			engine.WriteErr(w, ctx.Err())
 			return
 		}
 		if c.wal != nil {
 			c.journalIngest(tenant, contentType, body, w)
 			return
 		}
-		writeErr(w, err)
+		engine.WriteErr(w, err)
 		return
 	}
 	relay(w, resp)
@@ -424,14 +424,6 @@ func (c *Coordinator[T]) ownerQuarantined(owner string) bool {
 	return at != 0 && time.Since(time.Unix(0, at)) < c.quarantine
 }
 
-// binaryIngestBody mirrors the engine handler's content negotiation.
-func binaryIngestBody(contentType string) bool {
-	if i := strings.IndexByte(contentType, ';'); i >= 0 {
-		contentType = contentType[:i]
-	}
-	return strings.TrimSpace(contentType) == "application/octet-stream"
-}
-
 // validateFrames walks a binary ingest body, enforcing the same framing,
 // checksum, codec-kind and tenant-match rules the worker handler would,
 // and returns the total element count. Journaling skips the workers'
@@ -481,17 +473,17 @@ func (c *Coordinator[T]) validateFrames(tenant string, body []byte) (int64, erro
 // append past the journal budget fails 503 exactly as an unjournaled
 // all-owners-down ingest would.
 func (c *Coordinator[T]) journalIngest(tenant, contentType string, body []byte, w http.ResponseWriter) {
-	binary := binaryIngestBody(contentType)
+	binary := engine.IsBinaryIngest(contentType)
 	var elems int64
 	if binary {
 		n, err := c.validateFrames(tenant, body)
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: %v", errBadGather, err))
+			engine.WriteErr(w, fmt.Errorf("%w: %v", errBadGather, err))
 			return
 		}
 		elems = n
 	} else if !json.Valid(body) {
-		writeErr(w, fmt.Errorf("%w: ingest body is not valid JSON", errBadGather))
+		engine.WriteErr(w, fmt.Errorf("%w: ingest body is not valid JSON", errBadGather))
 		return
 	}
 	kind := walBodyJSON
@@ -500,7 +492,7 @@ func (c *Coordinator[T]) journalIngest(tenant, contentType string, body []byte, 
 	}
 	pending, err := c.wal.Append(tenant, kind, body)
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w for tenant %q: %v", ErrNoSurvivors, tenant, err))
+		engine.WriteErr(w, fmt.Errorf("%w for tenant %q: %v", ErrNoSurvivors, tenant, err))
 		return
 	}
 	w.Header().Set("X-Opaq-Journaled", "true")
@@ -511,7 +503,7 @@ func (c *Coordinator[T]) journalIngest(tenant, contentType string, body []byte, 
 		w.Write(ack)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	engine.WriteJSON(w, http.StatusAccepted, map[string]any{
 		"journaled":     true,
 		"pending_bytes": pending,
 	})
@@ -547,10 +539,11 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // gathered is one scatter-gather outcome: the merged summary of the
 // owners that answered, plus the degradation bookkeeping.
 type gathered[T cmp.Ordered] struct {
-	sum     *core.Summary[T]
-	partial bool     // at least one owner did not contribute
-	owners  []string // the tenant's full owner set
-	down    []string // owners unreachable after retries
+	snap    *engine.Snapshot[T] // the merged summary and its histogram
+	raw     []byte              // snap's cached SaveSummary bytes, if any
+	partial bool                // at least one owner did not contribute
+	owners  []string            // the tenant's full owner set
+	down    []string            // owners unreachable after retries
 	// key is the owner version vector this answer was built from — the
 	// per-owner summary ETags (and 404 markers) joined in ring order.
 	// Empty when the answer is partial or an owner went untagged; a
@@ -724,10 +717,11 @@ func (c *Coordinator[T]) gatherOnce(ctx context.Context, tenant string) (*gather
 		g.key = strings.Join(keyParts, "|")
 	}
 	if c.cache != nil {
-		if sum, _, ok := c.cache.mergedFor(tenant, g.key); ok {
+		if snap, raw, ok := c.cache.mergedFor(tenant, g.key); ok {
 			// Every owner revalidated against the vector the cached merge
-			// was built from: same inputs, same merge. Skip MergeAll.
-			g.sum = sum
+			// was built from: same inputs, same merge and histogram. Skip
+			// MergeAll and histogram.Build.
+			g.snap, g.raw = snap, raw
 			c.gatherHits.Add(1)
 			return g, nil
 		}
@@ -736,11 +730,13 @@ func (c *Coordinator[T]) gatherOnce(ctx context.Context, tenant string) (*gather
 	if err != nil {
 		return nil, fmt.Errorf("%w: merging owner summaries: %v", errBadWorker, err)
 	}
-	g.sum = sum
+	if g.snap, err = engine.NewSnapshot(sum, c.buckets, 0); err != nil {
+		return nil, err
+	}
 	if c.cache != nil {
-		var merged *core.Summary[T]
+		var merged *engine.Snapshot[T]
 		if g.key != "" {
-			merged = sum
+			merged = g.snap
 		}
 		c.cache.commit(tenant, entries, g.key, merged)
 		c.gatherMisses.Add(1)
@@ -765,194 +761,24 @@ func (c *Coordinator[T]) cacheStats() map[string]any {
 	return st
 }
 
-// boundsJSON mirrors the engine handler's quantile enclosure shape.
-type boundsJSON struct {
-	Phi      float64 `json:"phi"`
-	Rank     int64   `json:"rank"`
-	Lower    string  `json:"lower"`
-	Upper    string  `json:"upper"`
-	MaxBelow int64   `json:"max_below"`
-	MaxAbove int64   `json:"max_above"`
-}
-
-func toBoundsJSON[T cmp.Ordered](b core.Bounds[T]) boundsJSON {
-	return boundsJSON{
-		Phi:      b.Phi,
-		Rank:     b.Rank,
-		Lower:    fmt.Sprint(b.Lower),
-		Upper:    fmt.Sprint(b.Upper),
-		MaxBelow: b.MaxBelow,
-		MaxAbove: b.MaxAbove,
-	}
-}
-
-func (c *Coordinator[T]) quantile(tenant string, w http.ResponseWriter, r *http.Request) {
-	phi, err := strconv.ParseFloat(r.URL.Query().Get("phi"), 64)
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: phi: %v", errBadGather, err))
-		return
-	}
-	ctx, cancel := c.reqCtx(r)
-	defer cancel()
-	g, err := c.gather(ctx, tenant)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	b, err := g.sum.Bounds(phi)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"phi":       b.Phi,
-		"rank":      b.Rank,
-		"lower":     fmt.Sprint(b.Lower),
-		"upper":     fmt.Sprint(b.Upper),
-		"max_below": b.MaxBelow,
-		"max_above": b.MaxAbove,
-		"partial":   g.partial,
-	})
-}
-
-func (c *Coordinator[T]) quantiles(tenant string, w http.ResponseWriter, r *http.Request) {
-	q, err := strconv.Atoi(r.URL.Query().Get("q"))
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: q: %v", errBadGather, err))
-		return
-	}
-	if q > maxQuantiles {
-		writeErr(w, fmt.Errorf("%w: q=%d exceeds maximum %d", errBadGather, q, maxQuantiles))
-		return
-	}
-	ctx, cancel := c.reqCtx(r)
-	defer cancel()
-	g, err := c.gather(ctx, tenant)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	bs, err := g.sum.Quantiles(q)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	out := make([]boundsJSON, len(bs))
-	for i, b := range bs {
-		out[i] = toBoundsJSON(b)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"quantiles": out, "partial": g.partial})
-}
-
-func (c *Coordinator[T]) selectivity(tenant string, w http.ResponseWriter, r *http.Request) {
-	a, err := c.opts.Parse(r.URL.Query().Get("a"))
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: a: %v", errBadGather, err))
-		return
-	}
-	b, err := c.opts.Parse(r.URL.Query().Get("b"))
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: b: %v", errBadGather, err))
-		return
-	}
-	ctx, cancel := c.reqCtx(r)
-	defer cancel()
-	g, err := c.gather(ctx, tenant)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if g.sum.N() == 0 {
-		writeErr(w, core.ErrEmpty)
-		return
-	}
-	hist, err := histogram.Build(g.sum, c.buckets)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	est := hist.EstimateRange(a, b)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"a":             fmt.Sprint(a),
-		"b":             fmt.Sprint(b),
-		"selectivity":   est / float64(hist.N()),
-		"estimate":      est,
-		"max_abs_error": hist.MaxRangeError(),
-		"partial":       g.partial,
-	})
-}
-
 func (c *Coordinator[T]) stats(tenant string, w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := c.reqCtx(r)
 	defer cancel()
 	g, err := c.gather(ctx, tenant)
 	if err != nil {
-		writeErr(w, err)
+		engine.WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"n":            g.sum.N(),
-		"samples":      g.sum.SampleCount(),
-		"step":         g.sum.Step(),
+	engine.WriteJSON(w, http.StatusOK, map[string]any{
+		"n":            g.snap.Summary.N(),
+		"samples":      g.snap.Summary.SampleCount(),
+		"step":         g.snap.Summary.Step(),
 		"owners":       g.owners,
 		"down":         g.down,
 		"partial":      g.partial,
 		"gather_cache": c.cacheStats(),
 		"wal":          c.walStatsBlock(),
 	})
-}
-
-// summary serves the merged summary in the checksummed core.SaveSummary
-// format — the same bytes a local engine's checkpoint would hold when the
-// stream was run-aligned, which is what the multi-process equivalence
-// harness asserts. Degradation is flagged in the X-Opaq-Partial header
-// (the body is pure summary bytes). Non-partial answers carry a strong
-// ETag derived from the owner version vector and honor If-None-Match, so
-// downstream pollers (opaqclient.Query.Summary) get the same 304 fast
-// path the coordinator itself uses against workers.
-func (c *Coordinator[T]) summary(tenant string, w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
-	defer cancel()
-	g, err := c.gather(ctx, tenant)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var etag string
-	if g.key != "" {
-		// Hash the vector: the joined worker tags are unbounded and leak
-		// fleet internals; 128 bits of SHA-256 keep the strong-tag
-		// property (vector determines bytes) in a fixed-width header.
-		h := sha256.Sum256([]byte(g.key))
-		etag = `"` + hex.EncodeToString(h[:16]) + `"`
-		w.Header().Set("ETag", etag)
-	}
-	w.Header().Set("X-Opaq-Partial", strconv.FormatBool(g.partial))
-	if etag != "" && engine.ETagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	var raw []byte
-	if g.key != "" {
-		if _, cachedRaw, ok := c.cache.mergedFor(tenant, g.key); ok {
-			raw = cachedRaw
-		}
-	}
-	if raw == nil {
-		var buf bytes.Buffer
-		if err := core.SaveSummary(&buf, g.sum, c.opts.Codec); err != nil {
-			writeErr(w, err)
-			return
-		}
-		raw = buf.Bytes()
-		if g.key != "" {
-			c.cache.attachMergedRaw(tenant, g.sum, raw)
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
 }
 
 // adminCreate creates the tenant on every owner. A 409 from an owner
@@ -965,25 +791,25 @@ func (c *Coordinator[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: reading body: %v", errBadGather, err))
+		engine.WriteErr(w, fmt.Errorf("%w: reading body: %v", errBadGather, err))
 		return
 	}
 	var req struct {
 		Name string `json:"name"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", errBadGather, err))
+		engine.WriteErr(w, fmt.Errorf("%w: decoding body: %v", errBadGather, err))
 		return
 	}
 	if !engine.ValidTenantName(req.Name) {
-		writeErr(w, fmt.Errorf("%w: %q", engine.ErrTenantName, req.Name))
+		engine.WriteErr(w, fmt.Errorf("%w: %q", engine.ErrTenantName, req.Name))
 		return
 	}
 	owners := c.Owners(req.Name)
 	for _, owner := range owners {
 		resp, err := c.client.Do(ctx, http.MethodPost, owner+"/admin/tenants", "application/json", body, nil)
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: owner %s: %v", ErrNoSurvivors, owner, err))
+			engine.WriteErr(w, fmt.Errorf("%w: owner %s: %v", ErrNoSurvivors, owner, err))
 			return
 		}
 		status := resp.StatusCode
@@ -993,7 +819,7 @@ func (c *Coordinator[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Body.Close()
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	engine.WriteJSON(w, http.StatusCreated, map[string]any{
 		"tenant":  req.Name,
 		"workers": owners,
 	})
@@ -1059,7 +885,7 @@ func (c *Coordinator[T]) adminList(w http.ResponseWriter, r *http.Request) {
 		out = append(out, entry{Name: n, Owners: c.Owners(n)})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": out, "partial": partial})
+	engine.WriteJSON(w, http.StatusOK, map[string]any{"tenants": out, "partial": partial})
 }
 
 // adminDelete removes the tenant from every worker (not just current
@@ -1074,7 +900,7 @@ func (c *Coordinator[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
 	for _, worker := range c.ring.Workers() {
 		resp, err := c.client.Do(ctx, http.MethodDelete, worker+"/admin/tenants/"+tenant, "", nil, nil)
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: worker %s: %v", ErrNoSurvivors, worker, err))
+			engine.WriteErr(w, fmt.Errorf("%w: worker %s: %v", ErrNoSurvivors, worker, err))
 			return
 		}
 		status := resp.StatusCode
@@ -1084,7 +910,7 @@ func (c *Coordinator[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
 			found = true
 		case status == http.StatusNotFound:
 		default:
-			writeErr(w, fmt.Errorf("%w: worker %s status %d", errBadWorker, worker, status))
+			engine.WriteErr(w, fmt.Errorf("%w: worker %s status %d", errBadWorker, worker, status))
 			return
 		}
 	}
@@ -1095,10 +921,10 @@ func (c *Coordinator[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
 		c.wal.DropTenant(tenant)
 	}
 	if !found {
-		writeErr(w, fmt.Errorf("%w: %q", engine.ErrUnknownTenant, tenant))
+		engine.WriteErr(w, fmt.Errorf("%w: %q", engine.ErrUnknownTenant, tenant))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": tenant})
+	engine.WriteJSON(w, http.StatusOK, map[string]string{"deleted": tenant})
 }
 
 // healthz aggregates worker health: the coordinator answers 200 whenever
@@ -1148,7 +974,7 @@ func (c *Coordinator[T]) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 		out[worker] = healths[i].body
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	engine.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":       status,
 		"build":        engine.BuildInfo(),
 		"workers":      out,

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"opaq/internal/core"
+	"opaq/internal/engine"
 	"opaq/internal/runio"
 )
 
@@ -27,18 +28,18 @@ type ownerEntry[T cmp.Ordered] struct {
 }
 
 // tenantEntry is one tenant's cache line: per-owner entries plus the
-// merged summary of the last fully successful (non-partial) gather,
-// keyed on the owner version vector — the per-owner ETags joined in
-// ring order, with misses marked. A matching vector proves every
-// owner's contribution is unchanged, so the merged summary (and its
-// lazily attached serialization) can be reused without re-running
-// MergeAll.
+// merged snapshot (summary and equi-depth histogram) of the last fully
+// successful (non-partial) gather, keyed on the owner version vector —
+// the per-owner ETags joined in ring order, with misses marked. A
+// matching vector proves every owner's contribution is unchanged, so the
+// merged summary, its histogram and its lazily attached serialization
+// can be reused without re-running MergeAll or histogram.Build.
 type tenantEntry[T cmp.Ordered] struct {
 	name      string
 	owners    map[string]ownerEntry[T]
 	mergedKey string
-	merged    *core.Summary[T]
-	mergedRaw []byte // lazily attached SaveSummary bytes of merged
+	merged    *engine.Snapshot[T]
+	mergedRaw []byte // lazily attached SaveSummary bytes of merged.Summary
 	bytes     int64
 	elem      *list.Element
 }
@@ -79,7 +80,13 @@ func (c *gatherCache[T]) footprint(sum *core.Summary[T]) int64 {
 }
 
 func (c *gatherCache[T]) entryBytes(e *tenantEntry[T]) int64 {
-	b := int64(len(e.mergedRaw)) + c.footprint(e.merged)
+	b := int64(len(e.mergedRaw))
+	if e.merged != nil {
+		b += c.footprint(e.merged.Summary)
+		if e.merged.Hist != nil {
+			b += int64(e.merged.Hist.Buckets())*c.elemSize + 96
+		}
+	}
 	for _, oe := range e.owners {
 		b += int64(len(oe.raw)) + c.footprint(oe.sum)
 	}
@@ -105,9 +112,9 @@ func (c *gatherCache[T]) ownersSnapshot(tenant string) map[string]ownerEntry[T] 
 	return out
 }
 
-// mergedFor returns the cached merged summary when the tenant's vector
+// mergedFor returns the cached merged snapshot when the tenant's vector
 // key matches, with its serialized form if one has been attached.
-func (c *gatherCache[T]) mergedFor(tenant, key string) (*core.Summary[T], []byte, bool) {
+func (c *gatherCache[T]) mergedFor(tenant, key string) (*engine.Snapshot[T], []byte, bool) {
 	if key == "" {
 		return nil, nil, false
 	}
@@ -124,11 +131,11 @@ func (c *gatherCache[T]) mergedFor(tenant, key string) (*core.Summary[T], []byte
 // commit replaces the tenant's cache line wholesale: owners is the
 // complete post-gather entry set (owners that failed or 404ed are
 // simply absent — which is the per-owner invalidation on failure), and
-// merged/key describe the gather's merged summary when it is cacheable
+// merged/key describe the gather's merged snapshot when it is cacheable
 // (non-partial with every contributor tagged; key "" stores none).
 // The tenant moves to the LRU front and older tenants are evicted past
 // the byte budget.
-func (c *gatherCache[T]) commit(tenant string, owners map[string]ownerEntry[T], key string, merged *core.Summary[T]) {
+func (c *gatherCache[T]) commit(tenant string, owners map[string]ownerEntry[T], key string, merged *engine.Snapshot[T]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.tenants[tenant]
@@ -165,9 +172,9 @@ func (c *gatherCache[T]) commit(tenant string, owners map[string]ownerEntry[T], 
 }
 
 // attachMergedRaw stores the serialized form of the cached merged
-// summary, matched by pointer identity so a raced commit of a newer
-// merge can never be paired with older bytes.
-func (c *gatherCache[T]) attachMergedRaw(tenant string, merged *core.Summary[T], raw []byte) {
+// snapshot's summary, matched by pointer identity so a raced commit of a
+// newer merge can never be paired with older bytes.
+func (c *gatherCache[T]) attachMergedRaw(tenant string, merged *engine.Snapshot[T], raw []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.tenants[tenant]

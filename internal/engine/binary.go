@@ -40,13 +40,14 @@ func (h *handler[T]) getBufs() *wireBuffers[T] {
 	return &wireBuffers[T]{}
 }
 
-// isBinaryIngest reports whether the request carries ingest frames.
-func isBinaryIngest(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
+// IsBinaryIngest reports whether an ingest body of the given
+// Content-Type carries runio frames rather than JSON — the one content
+// negotiation rule for every server that accepts or relays ingest.
+func IsBinaryIngest(contentType string) bool {
+	if i := strings.IndexByte(contentType, ';'); i >= 0 {
+		contentType = contentType[:i]
 	}
-	return strings.TrimSpace(ct) == "application/octet-stream"
+	return strings.TrimSpace(contentType) == "application/octet-stream"
 }
 
 // shedNow applies rotate-then-check backpressure against bound: a backlog
@@ -73,7 +74,7 @@ func retrySeconds[T cmp.Ordered](eng *Engine[T], explicit time.Duration) uint32 
 // ingestBinary handles one application/octet-stream ingest request.
 func (h *handler[T]) ingestBinary(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
 	if h.codec == nil {
-		writeJSON(w, http.StatusUnsupportedMediaType, map[string]string{
+		WriteJSON(w, http.StatusUnsupportedMediaType, map[string]string{
 			"error": "binary ingest not enabled: handler has no codec",
 		})
 		return
@@ -140,7 +141,7 @@ frames:
 		// an exact ack for what landed instead of rejecting wholesale.
 		shed, err := shedNow(eng, h.opts.MaxPendingBytes)
 		if err != nil {
-			writeErr(w, err)
+			WriteErr(w, err)
 			return
 		}
 		if shed {
@@ -156,7 +157,7 @@ frames:
 				nackMsg = err.Error()
 				break frames
 			}
-			writeErr(w, err)
+			WriteErr(w, err)
 			return
 		}
 		ingested += int64(len(bufs.elems))

@@ -129,6 +129,34 @@ type Snapshot[T cmp.Ordered] struct {
 	Version uint64
 }
 
+// NewSnapshot wraps a merged summary as a Snapshot labeled version,
+// deriving its equi-depth histogram over buckets buckets (none when sum
+// is empty). Engines cut one per rebuild; the cluster coordinator wraps a
+// fleet's merged summary the same way, so both answer from one shape.
+func NewSnapshot[T cmp.Ordered](sum *core.Summary[T], buckets int, version uint64) (*Snapshot[T], error) {
+	snap := &Snapshot[T]{Summary: sum, Version: version}
+	if sum.N() > 0 {
+		h, err := histogram.Build(sum, buckets)
+		if err != nil {
+			return nil, err
+		}
+		snap.Hist = h
+	}
+	return snap, nil
+}
+
+// RangeEstimate answers a range predicate from the snapshot's histogram:
+// the selectivity (fraction of elements in [a, b]), the raw element
+// estimate it is derived from, and the histogram's deterministic absolute
+// error ceiling. Empty snapshots report core.ErrEmpty.
+func (s *Snapshot[T]) RangeEstimate(a, b T) (sel, estimate, maxErr float64, err error) {
+	if s.Hist == nil {
+		return 0, 0, 0, core.ErrEmpty
+	}
+	estimate = s.Hist.EstimateRange(a, b)
+	return estimate / float64(s.Hist.N()), estimate, s.Hist.MaxRangeError(), nil
+}
+
 // Stats is a point-in-time report of engine state and activity.
 type Stats struct {
 	// N is the number of elements absorbed over the engine's lifetime
@@ -547,13 +575,9 @@ func (e *Engine[T]) rebuildLocked(version uint64) (*Snapshot[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &Snapshot[T]{Summary: acc, Version: version}
-	if acc.N() > 0 {
-		h, err := histogram.Build(acc, e.buckets)
-		if err != nil {
-			return nil, err
-		}
-		snap.Hist = h
+	snap, err := NewSnapshot(acc, e.buckets, version)
+	if err != nil {
+		return nil, err
 	}
 	e.snap.Store(snap)
 	e.merges.Add(1)
@@ -685,22 +709,15 @@ func (e *Engine[T]) RankBounds(x T) (lo, hi int64, err error) {
 	return lo, hi, nil
 }
 
-// RangeEstimate answers a range predicate from one snapshot: the
-// selectivity (fraction of retained elements in [a, b]), the raw element
-// estimate it is derived from, and the histogram's deterministic absolute
-// error ceiling — mutually consistent even while ingestion advances.
-// Empty engines report core.ErrEmpty.
+// RangeEstimate is Snapshot.RangeEstimate over the retained window, from
+// one snapshot — mutually consistent even while ingestion advances.
 func (e *Engine[T]) RangeEstimate(a, b T) (sel, estimate, maxErr float64, err error) {
 	s, err := e.Snapshot()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if s.Hist == nil {
-		return 0, 0, 0, core.ErrEmpty
-	}
 	e.queries.Add(1)
-	estimate = s.Hist.EstimateRange(a, b)
-	return estimate / float64(s.Hist.N()), estimate, s.Hist.MaxRangeError(), nil
+	return s.RangeEstimate(a, b)
 }
 
 // Selectivity estimates the fraction of retained elements in [a, b] from

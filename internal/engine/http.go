@@ -3,24 +3,31 @@
 // responses (and accepted as strings or numbers in requests) so 64-bit
 // integer keys survive transports that parse JSON numbers as float64.
 //
-// Two handler constructors share the route implementations:
+// There is one read surface: ReadRoutes answers GET /quantile,
+// /quantiles, /selectivity and /summary from a Source that resolves a
+// request's tenant to a View (a Snapshot, its strong ETag, and whether it
+// is partial). Three servers mount it over their own source:
 //
 //   - NewHandler serves one engine at the root (the single-engine API).
 //   - NewRegistryHandler serves a multi-tenant Registry: every tenant at
 //     /t/{tenant}/..., admin create/list/delete under /admin/tenants, and
 //     the root routes aliased to the "default" tenant so single-engine
 //     clients keep working unchanged.
+//   - The cluster coordinator serves the merged summary of a worker fleet,
+//     so its read answers are the engine's, JSON for JSON, flagged partial
+//     when owners are down.
 //
-// Both expose GET /healthz (liveness plus per-tenant epoch/ingest stats)
-// and apply ingest backpressure: request bodies are capped by
-// http.MaxBytesReader (413 beyond the cap) and, when the target engine's
-// unsealed bytes exceed HandlerOptions.MaxPendingBytes, ingests are shed
-// with 429 + Retry-After instead of buffering without bound.
+// The engine handlers also expose GET /healthz (liveness plus per-tenant
+// epoch/ingest stats) and apply ingest backpressure: request bodies are
+// capped by http.MaxBytesReader (413 beyond the cap) and, when the target
+// engine's unsealed bytes exceed HandlerOptions.MaxPendingBytes, ingests
+// are shed with 429 + Retry-After instead of buffering without bound.
 package engine
 
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,12 +104,9 @@ func retryAfterHint(explicit, sealInterval time.Duration, ok bool) time.Duration
 	return time.Second
 }
 
-// handler serves the engine API:
+// handler serves the engine API — the read surface (ReadRoutes) plus:
 //
 //	POST /ingest       {"keys": [1, "2", 3]}            → {"ingested": 3, "n": 1003}
-//	GET  /quantile     ?phi=0.5                          → the deterministic enclosure
-//	GET  /quantiles    ?q=10                             → q−1 equally spaced enclosures
-//	GET  /selectivity  ?a=10&b=20                        → histogram range estimate
 //	GET  /stats                                          → engine counters
 //	GET  /healthz                                        → liveness + per-tenant stats
 //
@@ -165,32 +169,111 @@ func NewRegistryHandler[T cmp.Ordered](reg *Registry[T], parse ParseKey[T], opts
 // engineRoutes registers the per-engine routes under prefix.
 func (h *handler[T]) engineRoutes(mux *http.ServeMux, prefix string) {
 	mux.HandleFunc("POST "+prefix+"/ingest", h.withEngine(h.ingest))
-	mux.HandleFunc("GET "+prefix+"/quantile", h.withEngine(h.quantile))
-	mux.HandleFunc("GET "+prefix+"/quantiles", h.withEngine(h.quantiles))
-	mux.HandleFunc("GET "+prefix+"/selectivity", h.withEngine(h.selectivity))
 	mux.HandleFunc("GET "+prefix+"/stats", h.withEngine(h.stats))
-	mux.HandleFunc("GET "+prefix+"/summary", h.withEngine(h.summary))
+	ReadRoutes(mux, prefix, h.view, h.parse, h.codec)
 }
 
-// withEngine resolves the request's engine: the single engine, or the
-// {tenant} path value (the DefaultTenant when absent) looked up in the
-// registry.
+// RequestTenant is the request's {tenant} path value, or DefaultTenant on
+// the root aliases.
+func RequestTenant(r *http.Request) string {
+	if name := r.PathValue("tenant"); name != "" {
+		return name
+	}
+	return DefaultTenant
+}
+
+// engine resolves the request's engine: the single engine, or the
+// request's tenant looked up in the registry.
+func (h *handler[T]) engine(r *http.Request) (*Engine[T], error) {
+	if h.single != nil {
+		return h.single, nil
+	}
+	return h.reg.Get(RequestTenant(r))
+}
+
 func (h *handler[T]) withEngine(f func(*Engine[T], http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		eng := h.single
-		if eng == nil {
-			name := r.PathValue("tenant")
-			if name == "" {
-				name = DefaultTenant
-			}
-			var err error
-			if eng, err = h.reg.Get(name); err != nil {
-				writeErr(w, err)
-				return
-			}
+		eng, err := h.engine(r)
+		if err != nil {
+			WriteErr(w, err)
+			return
 		}
 		f(eng, w, r)
 	}
+}
+
+// view is the engines' read source: the current snapshot under its
+// strong SummaryETag, never partial.
+func (h *handler[T]) view(r *http.Request) (View[T], error) {
+	eng, err := h.engine(r)
+	if err != nil {
+		return View[T]{}, err
+	}
+	s, err := eng.Snapshot()
+	if err != nil {
+		return View[T]{}, err
+	}
+	return View[T]{Snap: s, ETag: eng.SummaryETag(s), eng: eng}, nil
+}
+
+// View is the state a read request is answered from.
+type View[T cmp.Ordered] struct {
+	// Snap is the summary and histogram every read route answers from.
+	Snap *Snapshot[T]
+	// ETag is Snap's strong entity tag; "" serves /summary untagged and
+	// never answers 304.
+	ETag string
+	// Partial flags an answer built from a strict subset of the tenant's
+	// data (a coordinator with owners down).
+	Partial bool
+	// Raw is Snap.Summary's SaveSummary encoding when the source already
+	// holds it. Otherwise /summary encodes it and, if Keep is set, hands
+	// the bytes to Keep so the source can serve them next time.
+	Raw  []byte
+	Keep func(raw []byte)
+
+	eng *Engine[T] // the engine whose query counter answers bump, if any
+}
+
+// Source resolves a read request's tenant to the View it is answered from.
+type Source[T cmp.Ordered] func(r *http.Request) (View[T], error)
+
+// ReadRoutes registers the read surface under prefix, answered from src:
+//
+//	GET /quantile     ?phi=0.5     → the deterministic enclosure
+//	GET /quantiles    ?q=10        → q−1 equally spaced enclosures
+//	GET /selectivity  ?a=10&b=20   → histogram range estimate
+//	GET /summary                   → SaveSummary bytes (ETag, If-None-Match)
+//
+// Every JSON answer carries "partial"; /summary carries it in the
+// X-Opaq-Partial header. parse converts selectivity bounds; a nil codec
+// answers /summary with 415. Request parameters are checked before src
+// runs, so a malformed query never costs a snapshot or a fan-out.
+func ReadRoutes[T cmp.Ordered](mux *http.ServeMux, prefix string, src Source[T], parse ParseKey[T], codec runio.Codec[T]) {
+	rd := reader[T]{src: src, parse: parse, codec: codec}
+	mux.HandleFunc("GET "+prefix+"/quantile", rd.quantile)
+	mux.HandleFunc("GET "+prefix+"/quantiles", rd.quantiles)
+	mux.HandleFunc("GET "+prefix+"/selectivity", rd.selectivity)
+	mux.HandleFunc("GET "+prefix+"/summary", rd.summary)
+}
+
+type reader[T cmp.Ordered] struct {
+	src   Source[T]
+	parse ParseKey[T]
+	codec runio.Codec[T]
+}
+
+// query resolves the view of a query route, counting it as served.
+func (rd reader[T]) query(w http.ResponseWriter, r *http.Request) (View[T], bool) {
+	v, err := rd.src(r)
+	if err != nil {
+		WriteErr(w, err)
+		return v, false
+	}
+	if v.eng != nil {
+		v.eng.queries.Add(1)
+	}
+	return v, true
 }
 
 // boundsJSON is one quantile enclosure on the wire.
@@ -214,38 +297,62 @@ func toBoundsJSON[T cmp.Ordered](b core.Bounds[T]) boundsJSON {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeErr maps engine errors onto HTTP statuses: malformed input is 400,
-// an unknown tenant is 404, creating an existing tenant is 409, querying
-// an empty engine is 409 (a state, not a request, problem), anything else
+// Errors WriteErr maps onto statuses of their own.
+var (
+	// ErrBadRequest marks malformed request input (400).
+	ErrBadRequest = errors.New("bad request")
+	// ErrUnavailable marks an answer nothing can serve right now, such as
+	// a tenant whose every owner is down (503).
+	ErrUnavailable = errors.New("unavailable")
+	// ErrBadUpstream marks an upstream server answering outside its
+	// protocol (502).
+	ErrBadUpstream = errors.New("bad upstream")
+)
+
+// WriteErr maps errors onto HTTP statuses: malformed input is 400, an
+// unknown tenant is 404, creating an existing tenant or querying an empty
+// one is 409 (a state, not a request, problem), a body over its
+// http.MaxBytesReader cap is 413, ErrUnavailable and a context killed by
+// shutdown or a gone client are 503, ErrBadUpstream is 502, anything else
 // is 500.
-func writeErr(w http.ResponseWriter, err error) {
+func WriteErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("body exceeds %d bytes; split the batch", tooBig.Limit),
+		})
+		return
 	case errors.Is(err, ErrUnknownTenant):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrTenantExists), errors.Is(err, core.ErrEmpty):
 		status = http.StatusConflict
-	case errors.Is(err, core.ErrPhi), errors.Is(err, errBadRequest),
+	case errors.Is(err, core.ErrPhi), errors.Is(err, ErrBadRequest),
 		errors.Is(err, ErrTenantName), errors.Is(err, core.ErrConfig):
 		status = http.StatusBadRequest
+	case errors.Is(err, ErrUnavailable),
+		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrBadUpstream):
+		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
-
-var errBadRequest = errors.New("bad request")
 
 // maxQuantiles caps GET /quantiles: beyond a few thousand equally spaced
 // quantiles the summary's sample resolution is exhausted anyway.
 const maxQuantiles = 4096
 
 func (h *handler[T]) ingest(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
-	if isBinaryIngest(r) {
+	if IsBinaryIngest(r.Header.Get("Content-Type")) {
 		h.ingestBinary(eng, w, r)
 		return
 	}
@@ -258,7 +365,7 @@ func (h *handler[T]) ingest(eng *Engine[T], w http.ResponseWriter, r *http.Reque
 	// draining.
 	shed, err := shedNow(eng, h.opts.MaxPendingBytes)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	if shed {
@@ -277,14 +384,7 @@ func (h *handler[T]) ingest(eng *Engine[T], w http.ResponseWriter, r *http.Reque
 	// Keys are captured as raw bytes and re-parsed through h.parse, so
 	// 64-bit integers never round-trip through float64.
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-				"error": fmt.Sprintf("body exceeds %d bytes; split the batch", tooBig.Limit),
-			})
-			return
-		}
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", errBadRequest, err))
+		WriteErr(w, fmt.Errorf("%w: decoding body: %w", ErrBadRequest, err))
 		return
 	}
 	keys := make([]T, 0, len(body.Keys))
@@ -293,13 +393,13 @@ func (h *handler[T]) ingest(eng *Engine[T], w http.ResponseWriter, r *http.Reque
 		s := string(raw)
 		if len(s) > 0 && s[0] == '"' {
 			if err := json.Unmarshal(raw, &s); err != nil {
-				writeErr(w, fmt.Errorf("%w: key %d: %v", errBadRequest, i, err))
+				WriteErr(w, fmt.Errorf("%w: key %d: %v", ErrBadRequest, i, err))
 				return
 			}
 		}
 		v, err := h.parse(s)
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: key %d: %v", errBadRequest, i, err))
+			WriteErr(w, fmt.Errorf("%w: key %d: %v", ErrBadRequest, i, err))
 			return
 		}
 		keys = append(keys, v)
@@ -312,10 +412,10 @@ func (h *handler[T]) ingest(eng *Engine[T], w http.ResponseWriter, r *http.Reque
 			h.shed429(eng, w, eng.MaxPending())
 			return
 		}
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{
+	WriteJSON(w, http.StatusOK, map[string]int64{
 		"ingested": int64(len(keys)),
 		"n":        eng.N(),
 	})
@@ -327,73 +427,89 @@ func (h *handler[T]) shed429(eng *Engine[T], w http.ResponseWriter, bound int64)
 	iv, ok := eng.SealInterval()
 	retry := retryAfterHint(h.opts.RetryAfter, iv, ok)
 	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, map[string]any{
+	WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 		"error":         "ingest backpressure: unsealed bytes over bound",
 		"pending_bytes": eng.PendingBytes(),
 		"bound":         bound,
 	})
 }
 
-func (h *handler[T]) quantile(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
+func (rd reader[T]) quantile(w http.ResponseWriter, r *http.Request) {
 	phi, err := strconv.ParseFloat(r.URL.Query().Get("phi"), 64)
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: phi: %v", errBadRequest, err))
+		WriteErr(w, fmt.Errorf("%w: phi: %v", ErrBadRequest, err))
 		return
 	}
-	b, err := eng.Quantile(phi)
+	v, ok := rd.query(w, r)
+	if !ok {
+		return
+	}
+	b, err := v.Snap.Summary.Bounds(phi)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toBoundsJSON(b))
+	WriteJSON(w, http.StatusOK, struct {
+		boundsJSON
+		Partial bool `json:"partial"`
+	}{toBoundsJSON(b), v.Partial})
 }
 
-func (h *handler[T]) quantiles(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
+func (rd reader[T]) quantiles(w http.ResponseWriter, r *http.Request) {
 	q, err := strconv.Atoi(r.URL.Query().Get("q"))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: q: %v", errBadRequest, err))
+		WriteErr(w, fmt.Errorf("%w: q: %v", ErrBadRequest, err))
 		return
 	}
 	// The response is O(q): an uncapped q would let one request allocate
 	// gigabytes inside a long-lived server.
 	if q > maxQuantiles {
-		writeErr(w, fmt.Errorf("%w: q=%d exceeds maximum %d", errBadRequest, q, maxQuantiles))
+		WriteErr(w, fmt.Errorf("%w: q=%d exceeds maximum %d", ErrBadRequest, q, maxQuantiles))
 		return
 	}
-	bs, err := eng.Quantiles(q)
+	v, ok := rd.query(w, r)
+	if !ok {
+		return
+	}
+	bs, err := v.Snap.Summary.Quantiles(q)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	out := make([]boundsJSON, len(bs))
 	for i, b := range bs {
 		out[i] = toBoundsJSON(b)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"quantiles": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"quantiles": out, "partial": v.Partial})
 }
 
-func (h *handler[T]) selectivity(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
-	a, err := h.parse(r.URL.Query().Get("a"))
+func (rd reader[T]) selectivity(w http.ResponseWriter, r *http.Request) {
+	a, err := rd.parse(r.URL.Query().Get("a"))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: a: %v", errBadRequest, err))
+		WriteErr(w, fmt.Errorf("%w: a: %v", ErrBadRequest, err))
 		return
 	}
-	b, err := h.parse(r.URL.Query().Get("b"))
+	b, err := rd.parse(r.URL.Query().Get("b"))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: b: %v", errBadRequest, err))
+		WriteErr(w, fmt.Errorf("%w: b: %v", ErrBadRequest, err))
 		return
 	}
-	sel, est, maxErr, err := eng.RangeEstimate(a, b)
-	if err != nil {
-		writeErr(w, err)
+	v, ok := rd.query(w, r)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	sel, est, maxErr, err := v.Snap.RangeEstimate(a, b)
+	if err != nil {
+		WriteErr(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"a":             fmt.Sprint(a),
 		"b":             fmt.Sprint(b),
 		"selectivity":   sel,
 		"estimate":      est,
 		"max_abs_error": maxErr,
+		"partial":       v.Partial,
 	})
 }
 
@@ -425,44 +541,56 @@ func statsJSON(st Stats) map[string]any {
 func (h *handler[T]) stats(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
 	out := statsJSON(eng.Stats())
 	out["epoch_ring"] = eng.Epochs()
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-// summary is the summary-fetch RPC: the engine's current snapshot in the
+// summary is the summary-fetch RPC: the view's summary in the
 // checksummed core.SaveSummary format — the same bytes a checkpoint file
 // holds. A coordinator scatter-gathers these per-worker summaries and
 // reduces them with core.MergeAll; summaries are tiny (the sample list),
 // so the transfer is cheap at any N. Requires a codec (415 without one).
+// Degradation is flagged in the X-Opaq-Partial header, since the body is
+// pure summary bytes.
 //
-// The response carries the snapshot's strong ETag (Engine.SummaryETag)
-// and honors If-None-Match: a fetcher holding the current version pays
-// one header round trip (304, no serialization, no body) instead of a
-// full summary — the coordinator's conditional-GET fast path.
-func (h *handler[T]) summary(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
-	if h.codec == nil {
+// A tagged view's response carries its strong ETag and honors
+// If-None-Match: a fetcher holding the current version pays one header
+// round trip (304, no serialization, no body) instead of a full summary
+// — the coordinator's conditional-GET fast path against its workers, and
+// a downstream poller's against the coordinator.
+func (rd reader[T]) summary(w http.ResponseWriter, r *http.Request) {
+	if rd.codec == nil {
 		http.Error(w, "no element codec configured for binary summaries", http.StatusUnsupportedMediaType)
 		return
 	}
-	s, err := eng.Snapshot()
+	v, err := rd.src(r)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	etag := eng.SummaryETag(s)
-	w.Header().Set("ETag", etag)
-	if ETagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
+	w.Header().Set("X-Opaq-Partial", strconv.FormatBool(v.Partial))
+	if v.ETag != "" {
+		w.Header().Set("ETag", v.ETag)
+		if ETagMatch(r.Header.Get("If-None-Match"), v.ETag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
 	}
-	var buf bytes.Buffer
-	if err := core.SaveSummary(&buf, s.Summary, h.codec); err != nil {
-		writeErr(w, err)
-		return
+	raw := v.Raw
+	if raw == nil {
+		var buf bytes.Buffer
+		if err := core.SaveSummary(&buf, v.Snap.Summary, rd.codec); err != nil {
+			WriteErr(w, err)
+			return
+		}
+		raw = buf.Bytes()
+		if v.Keep != nil {
+			v.Keep(raw)
+		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	w.Write(raw)
 }
 
 // ETagMatch implements the If-None-Match comparison for strong tags:
@@ -470,7 +598,6 @@ func (h *handler[T]) summary(eng *Engine[T], w http.ResponseWriter, r *http.Requ
 // list must equal the current tag. Weak-prefixed entries (W/"...") are
 // compared by their opaque part — byte-identity is exactly what the
 // weak comparison promises here, since our tags are version-keyed.
-// Exported because the cluster coordinator answers the same protocol.
 func ETagMatch(header, etag string) bool {
 	if header == "" {
 		return false
@@ -504,7 +631,7 @@ func (h *handler[T]) healthz(w http.ResponseWriter, r *http.Request) {
 			tenants[name] = statsJSON(eng.Stats())
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"build":   BuildInfo(),
 		"tenants": tenants,
@@ -560,7 +687,7 @@ func (c tenantConfigJSON) options(defaults Options) (Options, error) {
 	case "max_age":
 		o.Retention = Retention{Kind: RetainMaxAge, MaxAge: time.Duration(c.RetainAgeMS) * time.Millisecond}
 	default:
-		return o, fmt.Errorf("%w: retain must be all, last_k or max_age, got %q", errBadRequest, c.Retain)
+		return o, fmt.Errorf("%w: retain must be all, last_k or max_age, got %q", ErrBadRequest, c.Retain)
 	}
 	return o, nil
 }
@@ -568,20 +695,20 @@ func (c tenantConfigJSON) options(defaults Options) (Options, error) {
 func (h *handler[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 	var req tenantConfigJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", errBadRequest, err))
+		WriteErr(w, fmt.Errorf("%w: decoding body: %v", ErrBadRequest, err))
 		return
 	}
 	opts, err := req.options(h.reg.opts.Defaults)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	eng, err := h.reg.Create(req.Name, &opts)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	WriteJSON(w, http.StatusCreated, map[string]any{
 		"tenant": req.Name,
 		"stats":  statsJSON(eng.Stats()),
 	})
@@ -601,12 +728,12 @@ func (h *handler[T]) adminList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, entry{Name: name, Stats: statsJSON(eng.Stats()), Epochs: eng.Epochs()})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"tenants": out})
 }
 
 func (h *handler[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
 	if err := h.reg.Delete(r.PathValue("tenant")); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
