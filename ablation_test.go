@@ -10,7 +10,6 @@ package opaq_test
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -32,11 +31,10 @@ func BenchmarkAblationSampling(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("multiselect", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
 		b.SetBytes(m * 8)
 		for i := 0; i < b.N; i++ {
 			cp := append([]int64(nil), run...)
-			if _, err := selection.MultiSelect(cp, ranks, rng); err != nil {
+			if _, err := selection.MultiSelect(cp, ranks); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -139,18 +137,18 @@ func BenchmarkAblationExact(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSelection compares the randomized selection (with
-// deterministic fallback) against pure median-of-medians on one rank —
-// the [FR75] vs [ea72] choice inside the sample phase.
+// BenchmarkAblationSelection compares Floyd–Rivest selection (Select,
+// with its median-of-medians fallback) against pure median-of-medians
+// (SelectDeterministic) on one rank — the [FR75] vs [ea72] choice inside
+// the sample phase.
 func BenchmarkAblationSelection(b *testing.B) {
 	const m = 1 << 18
 	run := datagen.Generate(datagen.NewUniform(5, 1<<62), m)
-	b.Run("randomized", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(2))
+	b.Run("floydrivest", func(b *testing.B) {
 		b.SetBytes(m * 8)
 		for i := 0; i < b.N; i++ {
 			cp := append([]int64(nil), run...)
-			if _, err := selection.Select(cp, m/2, rng); err != nil {
+			if _, err := selection.Select(cp, m/2); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"sort"
@@ -113,18 +114,19 @@ func main() {
 	}
 
 	if *baseline != "" {
-		if failed := checkBaseline(*baseline, metrics, *regress); failed {
+		if failed := checkBaseline(os.Stdout, *baseline, metrics, *regress); failed {
 			os.Exit(1)
 		}
 	}
 }
 
 // checkBaseline compares this run's gated metrics against the baseline
-// file's, reporting every comparison and returning true when any metric
-// regressed past the threshold. Metrics present on only one side are
-// reported but never fail — renames and new experiments should not break
-// the gate.
-func checkBaseline(path string, current []experiments.Metric, pct float64) bool {
+// file's, reporting every comparison to out and returning true when any
+// metric regressed past the threshold. Metrics present on only one side
+// are reported — NEW when the baseline lacks them, GONE when the run no
+// longer produces a metric the baseline gated — but never fail: renames,
+// new experiments and retired subsystems should not break the gate.
+func checkBaseline(out io.Writer, path string, current []experiments.Metric, pct float64) bool {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: baseline: %v\n", err)
@@ -140,15 +142,17 @@ func checkBaseline(path string, current []experiments.Metric, pct float64) bool 
 		baseByName[m.Name] = m
 	}
 
-	fmt.Printf("regression gate: vs %s (commit %s), threshold %.0f%%\n", path, base.Commit, pct)
+	fmt.Fprintf(out, "regression gate: vs %s (commit %s), threshold %.0f%%\n", path, base.Commit, pct)
 	failed := false
+	seen := make(map[string]bool, len(current))
 	for _, cur := range current {
+		seen[cur.Name] = true
 		if !cur.Gate {
 			continue
 		}
 		ref, ok := baseByName[cur.Name]
 		if !ok {
-			fmt.Printf("  NEW   %-40s %12.4g %s (no baseline)\n", cur.Name, cur.Value, cur.Unit)
+			fmt.Fprintf(out, "  NEW   %-40s %12.4g %s (no baseline)\n", cur.Name, cur.Value, cur.Unit)
 			continue
 		}
 		// delta > 0 always means "worse", whichever direction is better.
@@ -163,8 +167,13 @@ func checkBaseline(path string, current []experiments.Metric, pct float64) bool 
 			verdict = "FAIL"
 			failed = true
 		}
-		fmt.Printf("  %-5s %-40s %12.4g -> %12.4g %s (%+.1f%% worse)\n",
+		fmt.Fprintf(out, "  %-5s %-40s %12.4g -> %12.4g %s (%+.1f%% worse)\n",
 			verdict, cur.Name, ref.Value, cur.Value, cur.Unit, delta)
+	}
+	for _, ref := range base.Metrics {
+		if ref.Gate && !seen[ref.Name] {
+			fmt.Fprintf(out, "  GONE  %-40s %12.4g %s (not produced by this run)\n", ref.Name, ref.Value, ref.Unit)
+		}
 	}
 	if failed {
 		fmt.Fprintf(os.Stderr, "benchtab: gated metrics regressed more than %.0f%% vs %s\n", pct, path)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -24,9 +23,10 @@ import (
 // overlaps I/O with computation and scales the per-run multi-selection
 // across cores. This realizes the paper's Section 4 future work ("we can
 // significantly reduce the total execution time by overlapping the I/O and
-// the computation"). Every run is sampled with an RNG seeded independently
-// from (cfg.Seed, run index), so the resulting Summary is bit-identical for
-// any worker count, including the sequential Workers == 1 path.
+// the computation"). Multi-selection returns exact order statistics and
+// assemble re-sequences runs into scan order, so the resulting Summary is
+// bit-identical for any worker count, including the sequential
+// Workers == 1 path.
 //
 // Runs shorter than cfg.RunLen are handled exactly: a short run of length
 // m' contributes ⌊m'·s/m⌋ sample points at the same sub-run spacing, and
@@ -70,23 +70,10 @@ type runStats[T cmp.Ordered] struct {
 	min, max T
 }
 
-// runSeed derives the selection RNG seed for the run with 0-based index idx
-// from the configured seed, via one splitmix64 round so consecutive indices
-// yield uncorrelated streams. Giving each run its own seed — rather than
-// threading one RNG through the scan — is what makes the concurrent build
-// bit-identical to the sequential one: the randomness a run sees no longer
-// depends on how many runs were processed before it, or by which worker.
-func runSeed(seed, idx int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(idx)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
 // sampleRun performs the per-run work of the sample phase: an exact min/max
 // scan plus the O(m log s) multi-selection at the regular ranks. run must be
 // non-empty and is reordered in place.
-func sampleRun[T cmp.Ordered](run []T, idx int64, step int, seed int64) (runStats[T], error) {
+func sampleRun[T cmp.Ordered](run []T, idx int64, step int) (runStats[T], error) {
 	rs := runStats[T]{idx: idx, n: int64(len(run)), min: run[0], max: run[0]}
 	for _, v := range run[1:] {
 		rs.min = min(rs.min, v)
@@ -101,7 +88,7 @@ func sampleRun[T cmp.Ordered](run []T, idx int64, step int, seed int64) (runStat
 	for k := 1; k <= si; k++ {
 		ranks[k-1] = k*step - 1
 	}
-	samples, err := selection.MultiSelect(run, ranks, rand.New(rand.NewSource(runSeed(seed, idx))))
+	samples, err := selection.MultiSelect(run, ranks)
 	if err != nil {
 		return rs, fmt.Errorf("core: sample phase select: %w", err)
 	}
@@ -127,7 +114,7 @@ func collectSequential[T cmp.Ordered](rr runio.RunReader[T], cfg Config) ([]runS
 		if len(run) == 0 {
 			continue
 		}
-		rs, err := sampleRun(run, idx, cfg.Step(), cfg.Seed)
+		rs, err := sampleRun(run, idx, cfg.Step())
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +182,7 @@ func collectConcurrent[T cmp.Ordered](rr runio.RunReader[T], cfg Config, workers
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				rs, err := sampleRun(j.run, j.idx, cfg.Step(), cfg.Seed)
+				rs, err := sampleRun(j.run, j.idx, cfg.Step())
 				select {
 				case results <- result{rs: rs, err: err}:
 				case <-quit:
@@ -333,7 +320,7 @@ func ExactQuantile[T cmp.Ordered](ds runio.Dataset[T], s *Summary[T], phi float6
 		return zero, fmt.Errorf("core: exact pass window does not cover rank %d (below=%d, window=%d); summary inconsistent with dataset",
 			b.Rank, below, len(window))
 	}
-	v, err := selection.Select(window, int(idx), rand.New(rand.NewSource(s.step)))
+	v, err := selection.Select(window, int(idx))
 	if err != nil {
 		return zero, err
 	}

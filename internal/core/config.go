@@ -51,11 +51,11 @@ type Config struct {
 	// positive. For estimating q quantiles with good bounds the paper
 	// recommends s ≥ 2q.
 	SampleSize int
-	// Seed drives the randomized selection inside the sample phase. The
-	// output bounds are deterministic regardless of Seed (selection returns
-	// exact order statistics); the seed only perturbs in-memory reordering.
-	// Each run derives its own selection RNG from (Seed, run index), so the
-	// summary does not depend on how runs are scheduled across workers.
+	// Seed is ignored: selection is deterministic and returns exact order
+	// statistics, so no output ever depended on it.
+	//
+	// Deprecated: no replacement is needed; the field remains so existing
+	// callers and persisted configurations keep working.
 	Seed int64
 	// Workers bounds the concurrency of the sample phase. 0 (the default)
 	// uses runtime.GOMAXPROCS(0); 1 forces the plain sequential scan; any

@@ -35,6 +35,10 @@ import (
 //	end    4    CRC32-C of everything after the magic
 const summaryMagic = "OPAQSUM\x01"
 
+// persistChunk is how many elements SaveSummary and LoadSummary encode
+// or decode per Write or Read.
+const persistChunk = 4096
+
 // ErrSummaryFormat reports a malformed summary stream.
 var ErrSummaryFormat = errors.New("core: malformed summary stream")
 
@@ -58,22 +62,25 @@ func SaveSummary[T cmp.Ordered](w io.Writer, s *Summary[T], codec runio.Codec[T]
 	if _, err := mw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("core: save summary: %w", err)
 	}
-	buf := make([]byte, codec.Size())
-	writeElem := func(v T) error {
-		codec.Encode(buf, v)
-		_, err := mw.Write(buf)
+	// Elements go out persistChunk at a time: one Write, and one CRC
+	// update, per chunk instead of per element.
+	chunk := make([]byte, 0, persistChunk*codec.Size())
+	writeElems := func(xs []T) error {
+		for len(xs) > 0 {
+			k := min(len(xs), persistChunk)
+			chunk = runio.AppendElems(chunk[:0], codec, xs[:k])
+			if _, err := mw.Write(chunk); err != nil {
+				return fmt.Errorf("core: save summary: %w", err)
+			}
+			xs = xs[k:]
+		}
+		return nil
+	}
+	if err := writeElems([]T{s.min, s.max}); err != nil {
 		return err
 	}
-	if err := writeElem(s.min); err != nil {
-		return fmt.Errorf("core: save summary: %w", err)
-	}
-	if err := writeElem(s.max); err != nil {
-		return fmt.Errorf("core: save summary: %w", err)
-	}
-	for _, v := range s.samples {
-		if err := writeElem(v); err != nil {
-			return fmt.Errorf("core: save summary: %w", err)
-		}
+	if err := writeElems(s.samples); err != nil {
+		return err
 	}
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
@@ -120,33 +127,25 @@ func LoadSummary[T cmp.Ordered](r io.Reader, codec runio.Codec[T]) (*Summary[T],
 	if count > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible sample count %d", ErrSummaryFormat, count)
 	}
-	buf := make([]byte, codec.Size())
-	readElem := func() (T, error) {
-		var zero T
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return zero, err
-		}
-		return codec.Decode(buf), nil
+	// Elements arrive persistChunk at a time, and the sample list grows
+	// as they actually arrive instead of trusting the header's count up
+	// front: a corrupted count (up to the 2⁴⁰ plausibility cap) must fail
+	// at EOF with a small allocation, not attempt a terabyte-sized make.
+	size := uint64(codec.Size())
+	chunk := make([]byte, min(count+2, persistChunk)*size)
+	if _, err := io.ReadFull(tr, chunk[:2*size]); err != nil {
+		return nil, fmt.Errorf("%w: truncated extrema: %v", ErrSummaryFormat, err)
 	}
-	minV, err := readElem()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated min: %v", ErrSummaryFormat, err)
-	}
-	maxV, err := readElem()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated max: %v", ErrSummaryFormat, err)
-	}
-	// Grow the sample list as elements actually arrive instead of
-	// trusting the header's count up front: a corrupted count (up to the
-	// 2⁴⁰ plausibility cap) must fail at EOF with a small allocation, not
-	// attempt a terabyte-sized make.
+	minV, maxV := codec.Decode(chunk[:size]), codec.Decode(chunk[size:2*size])
 	samples := make([]T, 0, min(count, 1<<16))
-	for i := uint64(0); i < count; i++ {
-		v, err := readElem()
-		if err != nil {
+	for left := count; left > 0; {
+		k := min(left, persistChunk)
+		if _, err := io.ReadFull(tr, chunk[:k*size]); err != nil {
 			return nil, fmt.Errorf("%w: truncated samples: %v", ErrSummaryFormat, err)
 		}
-		samples = append(samples, v)
+		// The chunk holds whole elements, so decoding cannot fail.
+		samples, _ = runio.DecodeFrameElems(codec, chunk[:k*size], samples)
+		left -= k
 	}
 	want := crc.Sum32()
 	var tail [4]byte

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"opaq/internal/datagen"
@@ -32,6 +33,43 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		b, _ := got.Bounds(phi)
 		if a.Lower != b.Lower || a.Upper != b.Upper {
 			t.Errorf("phi=%g: bounds changed across save/load", phi)
+		}
+	}
+}
+
+// plainCodec hides Int64Codec's BulkCodec methods, forcing persistence
+// down the per-element encode and decode path.
+type plainCodec struct{ runio.Codec[int64] }
+
+// Save and load move elements in chunks: a summary spanning several
+// chunks must serialize to the same bytes, and load back to the same
+// parts, whether or not the codec has bulk methods.
+func TestSaveLoadChunksAndPlainCodec(t *testing.T) {
+	xs := datagen.Generate(datagen.NewUniform(5, 1<<40), 2*persistChunk*8+8*3+5)
+	s, err := BuildFromSlice(xs, Config{RunLen: 64, SampleSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.SampleCount() <= 2*persistChunk {
+		t.Fatalf("setup: %d samples do not span three chunks", s.SampleCount())
+	}
+	var bulk, plain bytes.Buffer
+	if err := SaveSummary(&bulk, s, runio.Int64Codec{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSummary(&plain, s, plainCodec{runio.Int64Codec{}}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bulk.Bytes(), plain.Bytes()) {
+		t.Fatal("per-element and bulk encodings differ")
+	}
+	for name, codec := range map[string]runio.Codec[int64]{"bulk": runio.Int64Codec{}, "plain": plainCodec{runio.Int64Codec{}}} {
+		got, err := LoadSummary(bytes.NewReader(bulk.Bytes()), codec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Parts(), s.Parts()) {
+			t.Errorf("%s: loaded summary differs from the saved one", name)
 		}
 	}
 }

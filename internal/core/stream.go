@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math/rand"
 
 	"opaq/internal/merge"
 	"opaq/internal/selection"
@@ -14,12 +13,11 @@ import (
 // behind a RunReader — e.g. a metrics pipeline observing latencies.
 //
 // Internally it buffers up to RunLen elements; each full buffer becomes
-// one run and is sampled exactly as the pull-based sample phase would —
-// run i draws its selection RNG from the same (Seed, i) derivation Build
-// uses — so Summary() is bit-identical to running Build over the same
-// element sequence at any Config.Workers setting. The buffered tail (a
-// partial run) is folded in on Summary() with the same ragged-run
-// accounting Build uses, at the cost of an O(RunLen log s) flush.
+// one run and is sampled exactly as the pull-based sample phase would, so
+// Summary() is bit-identical to running Build over the same element
+// sequence at any Config.Workers setting. The buffered tail (a partial
+// run) is folded in on Summary() with the same ragged-run accounting
+// Build uses, at the cost of an O(RunLen log s) flush.
 //
 // # Sealing
 //
@@ -44,11 +42,6 @@ type StreamBuilder[T cmp.Ordered] struct {
 
 	// Extrema of the buffered partial run; valid when len(buf) > 0.
 	bufMin, bufMax T
-
-	// seq counts runs flushed over the builder's lifetime, across seals,
-	// so each run's selection RNG keeps the same (Seed, run index)
-	// derivation Build uses.
-	seq int64
 }
 
 // NewStreamBuilder returns a streaming builder for the given config.
@@ -139,14 +132,12 @@ func (b *StreamBuilder[T]) flush() error {
 		}
 	}
 	b.runs++
-	b.seq++
 	if si > 0 {
 		ranks := make([]int, si)
 		for k := 1; k <= si; k++ {
 			ranks[k-1] = k*step - 1
 		}
-		rng := rand.New(rand.NewSource(runSeed(b.cfg.Seed, b.seq-1)))
-		samples, err := selection.MultiSelect(b.buf, ranks, rng)
+		samples, err := selection.MultiSelect(b.buf, ranks)
 		if err != nil {
 			return err
 		}
@@ -222,8 +213,7 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 			// the copy is pure scratch: MultiSelect permutes it and returns a
 			// fresh sample list, so it goes straight back to the pool.
 			cp := append(getSamples[T](len(b.buf)), b.buf...)
-			rng := rand.New(rand.NewSource(runSeed(b.cfg.Seed, b.seq)))
-			samples, err := selection.MultiSelect(cp, ranks, rng)
+			samples, err := selection.MultiSelect(cp, ranks)
 			putSamples(cp)
 			if err != nil {
 				return nil, err

@@ -35,10 +35,11 @@
 // restore, bulk load), never by plain ingest. A version-missed query
 // therefore merges only the live stripes' partial summaries and folds
 // them into the cached prefix: steady-state rebuild cost is O(unsealed
-// tail), not O(retained window). When the prefix itself must be rebuilt
-// cold, the k-way merge over the ring fans out across Config.Workers
-// (core.MergeAllParallel). Because summaries are immutable, queries
-// against a snapshot never block ingestion.
+// tail), not O(retained window). A rotation that only appends epochs
+// folds them into the cached prefix; when the prefix itself must be
+// rebuilt cold, the k-way merge over the ring fans out across
+// Config.Workers (core.MergeAllParallel). Because summaries are
+// immutable, queries against a snapshot never block ingestion.
 //
 // Bulk history enters through BulkLoad (a sharded build over run-file
 // datasets) or Restore (a checkpoint written by Checkpoint); each lands as
@@ -192,10 +193,11 @@ type Stats struct {
 	// Merges is the number of snapshot rebuilds performed. PrefixHits
 	// counts the rebuilds that reused the cached frozen-prefix summary
 	// (tail-only merges — the steady state under sustained ingest);
-	// PrefixRebuilds counts cold frozen-prefix merges, provoked only by
+	// PrefixRebuilds counts frozen-prefix rebuilds, provoked only by
 	// ring changes (rotation, compaction swap, eviction, restore, bulk
-	// load). Merges − PrefixHits − PrefixRebuilds is the count of
-	// full-remerge rebuilds (DisableFrozenPrefix engines only).
+	// load); an append-only change folds in just the new epochs.
+	// Merges − PrefixHits − PrefixRebuilds is the count of full-remerge
+	// rebuilds (DisableFrozenPrefix engines only).
 	Merges         int64
 	PrefixHits     int64
 	PrefixRebuilds int64
@@ -635,28 +637,45 @@ func (e *Engine[T]) assemble(ringPtr *[]*Epoch[T], ring []*Epoch[T], tails []*co
 }
 
 // frozenPrefix returns the merged summary of the sealed ring, from the
-// cache when the ring is the one the cache was built against, otherwise
-// by one cold merge fanned out across Config.Workers. Caller holds
+// cache when the ring is the one the cache was built against. A ring that
+// only grew at the end (plain rotations) folds just its new epochs into
+// the cached prefix, one linear two-way merge; any other ring change
+// costs one cold merge fanned out across Config.Workers. Caller holds
 // mergeMu (the cache field is single-flight state, like the snapshot it
 // feeds).
 func (e *Engine[T]) frozenPrefix(ringPtr *[]*Epoch[T], ring []*Epoch[T]) (*core.Summary[T], error) {
-	if c := e.prefix; c != nil && c.ring == ringPtr {
+	c := e.prefix
+	if c != nil && c.ring == ringPtr {
 		e.prefixHits.Add(1)
 		return c.sum, nil
+	}
+	sums := make([]*core.Summary[T], len(ring))
+	for i, ep := range ring {
+		sums[i] = ep.Summary
 	}
 	var (
 		sum *core.Summary[T]
 		err error
 	)
-	if len(ring) == 0 {
+	switch {
+	case c != nil && extendsRing(ring, *c.ring):
+		sum = c.sum
+		if fresh := sums[len(*c.ring):]; len(fresh) > 0 {
+			var delta *core.Summary[T]
+			if delta, err = core.MergeAllParallel(fresh, e.cfg.EffectiveWorkers()); err == nil {
+				sum, err = core.Merge(c.sum, delta)
+				// delta is ours alone unless Merge handed it back as the
+				// result; the old prefix may still back a live snapshot.
+				if err == nil && sum != delta {
+					core.RecycleSummary(delta)
+				}
+			}
+		}
+	case len(ring) == 0:
 		// NewSummary with N == 0 is the canonical empty summary: folding
 		// it in is a no-op, and nothing merges until an epoch seals.
 		sum, err = core.NewSummary(core.SummaryParts[T]{Step: int64(e.cfg.Step())})
-	} else {
-		sums := make([]*core.Summary[T], len(ring))
-		for i, ep := range ring {
-			sums[i] = ep.Summary
-		}
+	default:
 		sum, err = core.MergeAllParallel(sums, e.cfg.EffectiveWorkers())
 	}
 	if err != nil {
@@ -665,6 +684,20 @@ func (e *Engine[T]) frozenPrefix(ringPtr *[]*Epoch[T], ring []*Epoch[T]) (*core.
 	e.prefix = &prefixCache[T]{ring: ringPtr, sum: sum}
 	e.prefixRebuilds.Add(1)
 	return sum, nil
+}
+
+// extendsRing reports whether ring is old with zero or more epochs
+// appended: the same epochs, in the same order, as its prefix.
+func extendsRing[T cmp.Ordered](ring, old []*Epoch[T]) bool {
+	if len(ring) < len(old) {
+		return false
+	}
+	for i, ep := range old {
+		if ring[i] != ep {
+			return false
+		}
+	}
+	return true
 }
 
 // recycleAll returns exclusively owned summaries' buffers to the merge

@@ -19,7 +19,7 @@ import (
 func newTestEngine(t *testing.T, stripes int) *Engine[int64] {
 	t.Helper()
 	e, err := New[int64](Options{
-		Config:  core.Config{RunLen: 512, SampleSize: 64, Seed: 42},
+		Config:  core.Config{RunLen: 512, SampleSize: 64},
 		Stripes: stripes,
 		Buckets: 32,
 	})

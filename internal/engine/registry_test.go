@@ -15,7 +15,7 @@ import (
 func testRegistryOptions(dir string) RegistryOptions[int64] {
 	return RegistryOptions[int64]{
 		Defaults: Options{
-			Config:  core.Config{RunLen: 512, SampleSize: 64, Seed: 1},
+			Config:  core.Config{RunLen: 512, SampleSize: 64},
 			Stripes: 2,
 			Buckets: 16,
 		},
@@ -280,7 +280,7 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	custom := Options{
-		Config:    core.Config{RunLen: 256, SampleSize: 16, Seed: 7},
+		Config:    core.Config{RunLen: 256, SampleSize: 16},
 		Stripes:   5,
 		Buckets:   32,
 		Epoch:     EpochPolicy{MaxElems: 4096},
@@ -312,6 +312,17 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
+	// A sidecar in the older format, whose Config still carried a
+	// selection "Seed", must restore the same configuration as custom.
+	legacy := `{"Config": {"RunLen": 256, "SampleSize": 16, "Seed": 7, "Workers": 0},
+		"Stripes": 5, "Buckets": 32,
+		"Epoch": {"MaxElems": 4096, "MaxBytes": 0, "Interval": 0},
+		"Retention": {"Kind": 1, "K": 3, "MaxAge": 0},
+		"Compaction": {"Enabled": false, "MinEpochs": 0},
+		"MaxPending": 0, "DisableFrozenPrefix": false}`
+	if err := os.WriteFile(filepath.Join(dir, "legacy"+optionsExt), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	r2, err := NewRegistry(testRegistryOptions(dir))
 	if err != nil {
@@ -324,6 +335,17 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 	}
 	if got != custom {
 		t.Errorf("restored options = %+v, want %+v", got, custom)
+	}
+	old, err := r2.TenantOptions("legacy")
+	if err != nil {
+		t.Fatalf("legacy sidecar tenant lost on reboot: %v", err)
+	}
+	// Compare field by field: the seed must not matter either way.
+	oldCfg := old.Config
+	old.Config = custom.Config
+	if old != custom || oldCfg.RunLen != custom.Config.RunLen ||
+		oldCfg.SampleSize != custom.Config.SampleSize || oldCfg.Workers != custom.Config.Workers {
+		t.Errorf("legacy sidecar restored %+v (config %+v), want %+v", old, oldCfg, custom)
 	}
 	eng2, err := r2.Get("custom")
 	if err != nil {

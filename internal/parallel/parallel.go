@@ -33,7 +33,6 @@ package parallel
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"opaq/internal/core"
@@ -210,7 +209,6 @@ func runRank[T cmp.Ordered](tr Transport, local []T, cfg Config,
 	perProc []PhaseTimes, localParts []core.SummaryParts[T], globalBlocks [][]T) error {
 	id := tr.ID()
 	step := int64(cfg.Core.Step())
-	rng := rand.New(rand.NewSource(cfg.Core.Seed + int64(id)))
 
 	// ---- Phase 1: I/O. The local shard is read once, run by run. Under
 	// OverlapIO the charge is deferred and folded into max(I/O, sampling)
@@ -252,7 +250,7 @@ func runRank[T cmp.Ordered](tr Transport, local []T, cfg Config,
 			ranks[k-1] = k*int(step) - 1
 		}
 		cp := append([]T(nil), run...)
-		samples, err := selection.MultiSelect(cp, ranks, rng)
+		samples, err := selection.MultiSelect(cp, ranks)
 		if err != nil {
 			return err
 		}

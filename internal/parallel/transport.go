@@ -8,8 +8,8 @@ import (
 
 // Transport is the communication substrate one rank of the parallel engine
 // runs on. The global-merge algorithms (bitonic merge-split and PSRS-style
-// sample merge) are written purely against this interface, so the same code
-// drives two very different machines:
+// sample merge) are written purely against this interface, and exactly two
+// machines implement it:
 //
 //   - The simulated machine of internal/simnet (*simnet.Proc): messages move
 //     real data between goroutines while a two-level cost model (α compute,
@@ -22,8 +22,8 @@ import (
 //     goroutines connected by channels with no cost model at all. Compute
 //     and Charge are no-ops and Clock always reports zero; the only time
 //     that exists is wall-clock time. This is the engine layer for actual
-//     sharded workloads, and the seam where a future networked transport
-//     (RPC, shared-nothing workers) plugs in.
+//     sharded workloads. Serving across hosts is internal/cluster's job:
+//     it merges whole summaries over HTTP and needs no rank-level transport.
 //
 // Both transports move real values — algorithms are executed for real and
 // their results are checked by tests; only the *accounting* differs.

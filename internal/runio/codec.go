@@ -33,10 +33,11 @@ type Codec[T any] interface {
 }
 
 // BulkCodec is an optional Codec extension: codecs that can encode and
-// decode whole slices without a per-element indirect call. The frame hot
-// path (AppendDataFrame, DecodeFrameElems) uses it when present — on a
-// wire-speed stream the per-element interface dispatch is a measurable
-// fraction of the total — and every codec in this package implements it.
+// decode whole slices without a per-element indirect call. AppendElems
+// and DecodeFrameElems (the frame hot path, and summary persistence) use
+// it when present — on a wire-speed stream the per-element interface
+// dispatch is a measurable fraction of the total — and every codec in
+// this package implements it.
 type BulkCodec[T any] interface {
 	// AppendElems appends each element's wire record to dst.
 	AppendElems(dst []byte, xs []T) []byte
@@ -249,23 +250,6 @@ func (Float32Codec) DecodeElems(dst []float32, src []byte) []float32 {
 		dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(src)))
 	}
 	return dst
-}
-
-// CodecFor returns the package codec for T when T is one of the six
-// supported fixed-width element types. Callers that are generic over
-// cmp.Ordered but need a wire encoding (the network transport behind
-// BuildSharded) resolve their codec here instead of threading one through
-// every signature; unsupported element types report ok=false.
-func CodecFor[T any]() (Codec[T], bool) {
-	for _, c := range []any{
-		Int64Codec{}, Float64Codec{}, Uint64Codec{},
-		Int32Codec{}, Uint32Codec{}, Float32Codec{},
-	} {
-		if cc, ok := c.(Codec[T]); ok {
-			return cc, true
-		}
-	}
-	return nil, false
 }
 
 // kindName maps codec kinds to human-readable names for error messages.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"strings"
@@ -194,7 +195,11 @@ func TestReadFrameHeaderCorruption(t *testing.T) {
 
 	corrupt("bad magic", func(f []byte) { f[0] = 'X' })
 	corrupt("bad version", func(f []byte) { f[4] = 99; fixHeaderCRC(f) })
-	corrupt("bad type", func(f []byte) { f[5] = 42; fixHeaderCRC(f) })
+	// 4–6 were the retired rank-mesh control types; only data, ack and
+	// nack remain valid.
+	for _, typ := range []byte{4, 5, 6, 42} {
+		corrupt(fmt.Sprintf("bad type %d", typ), func(f []byte) { f[5] = typ; fixHeaderCRC(f) })
+	}
 	corrupt("flipped length bit", func(f []byte) { f[8] ^= 1 })
 	corrupt("flipped header CRC", func(f []byte) { f[12] ^= 0x80 })
 	corrupt("flipped payload byte", func(f []byte) { f[FrameHeaderSize] ^= 1 })

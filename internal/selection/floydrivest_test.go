@@ -10,7 +10,7 @@ func TestFloydRivestSmall(t *testing.T) {
 	xs := []int64{5, 1, 4, 2, 3}
 	for k := 0; k < 5; k++ {
 		cp := append([]int64(nil), xs...)
-		got, err := SelectFloydRivest(cp, k, testRNG())
+		got, err := Select(cp, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func TestFloydRivestLarge(t *testing.T) {
 	want := sortedCopy(xs)
 	for _, k := range []int{0, 1, n / 4, n / 2, 3 * n / 4, n - 2, n - 1} {
 		cp := append([]int64(nil), xs...)
-		got, err := SelectFloydRivest(cp, k, rng)
+		got, err := Select(cp, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestFloydRivestDuplicateHeavy(t *testing.T) {
 	want := sortedCopy(xs)
 	for _, k := range []int{0, n / 2, n - 1} {
 		cp := append([]int64(nil), xs...)
-		got, err := SelectFloydRivest(cp, k, rng)
+		got, err := Select(cp, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,27 +66,26 @@ func TestFloydRivestSortedInput(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64(i)
 	}
-	got, err := SelectFloydRivest(xs, n/3, testRNG())
+	got, err := Select(xs, n/3)
 	if err != nil || got != int64(n/3) {
 		t.Fatalf("got %d, %v; want %d", got, err, n/3)
 	}
 }
 
 func TestFloydRivestOutOfRange(t *testing.T) {
-	if _, err := SelectFloydRivest([]int64{1}, 1, testRNG()); err == nil {
+	if _, err := Select([]int64{1}, 1); err == nil {
 		t.Fatal("k out of range should fail")
 	}
 }
 
 func TestQuickFloydRivestEqualsSort(t *testing.T) {
-	rng := testRNG()
 	f := func(raw []int64, kRaw uint16) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		k := int(kRaw) % len(raw)
 		want := sortedCopy(raw)[k]
-		got, err := SelectFloydRivest(append([]int64(nil), raw...), k, rng)
+		got, err := Select(append([]int64(nil), raw...), k)
 		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(77))}); err != nil {

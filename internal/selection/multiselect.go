@@ -3,7 +3,6 @@ package selection
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -19,10 +18,7 @@ import (
 // over a run of m elements. Each split is a Floyd–Rivest selection
 // (floydRivestInPlace), whose single near-target partition pass per level
 // keeps the constant close to one comparison per element per level.
-func MultiSelect[T cmp.Ordered](xs []T, ranks []int, rng *rand.Rand) ([]T, error) {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0x51ed2701))
-	}
+func MultiSelect[T cmp.Ordered](xs []T, ranks []int) ([]T, error) {
 	for _, k := range ranks {
 		if k < 0 || k >= len(xs) {
 			return nil, fmt.Errorf("%w: k=%d, len=%d", ErrRankOutOfRange, k, len(xs))
@@ -36,7 +32,7 @@ func MultiSelect[T cmp.Ordered](xs []T, ranks []int, rng *rand.Rand) ([]T, error
 	sort.Ints(sorted)
 	sorted = dedupInts(sorted)
 
-	multiSelect(xs, 0, len(xs), sorted, rng)
+	multiSelect(xs, 0, len(xs), sorted)
 
 	out := make([]T, len(ranks))
 	for i, k := range ranks {
@@ -70,24 +66,24 @@ func RegularRanks(m, s int) ([]int, error) {
 // so each sample point closes a "sub-run" of m/s elements that are all ≤ it
 // and ≥ the previous sample point. This is the per-run work of the sample
 // phase; it costs O(m log s).
-func RegularSample[T cmp.Ordered](run []T, s int, rng *rand.Rand) ([]T, error) {
+func RegularSample[T cmp.Ordered](run []T, s int) ([]T, error) {
 	ranks, err := RegularRanks(len(run), s)
 	if err != nil {
 		return nil, err
 	}
-	return MultiSelect(run, ranks, rng)
+	return MultiSelect(run, ranks)
 }
 
 // multiSelect recursively partitions xs[lo:hi) around the median target
 // rank. targets is sorted, deduplicated, and every entry lies in [lo, hi).
-func multiSelect[T cmp.Ordered](xs []T, lo, hi int, targets []int, rng *rand.Rand) {
+func multiSelect[T cmp.Ordered](xs []T, lo, hi int, targets []int) {
 	for len(targets) > 0 {
 		if len(targets) == 1 {
-			floydRivestInPlace(xs, lo, hi, targets[0], rng)
+			floydRivestInPlace(xs, lo, hi, targets[0])
 			return
 		}
 		mid := targets[len(targets)/2]
-		floydRivestInPlace(xs, lo, hi, mid, rng)
+		floydRivestInPlace(xs, lo, hi, mid)
 		// xs[mid] now has exact rank mid; ranks below it live in [lo, mid),
 		// ranks above it in (mid, hi). Split the target list accordingly and
 		// recurse on the smaller side, looping on the larger (tail-call
@@ -99,42 +95,13 @@ func multiSelect[T cmp.Ordered](xs []T, lo, hi int, targets []int, rng *rand.Ran
 			right = right[1:]
 		}
 		if len(left) <= len(right) {
-			multiSelect(xs, lo, mid, left, rng)
+			multiSelect(xs, lo, mid, left)
 			lo = mid + 1
 			targets = right
 		} else {
-			multiSelect(xs, mid+1, hi, right, rng)
+			multiSelect(xs, mid+1, hi, right)
 			hi = mid
 			targets = left
-		}
-	}
-}
-
-// selectInPlace reorders xs[lo:hi) so that xs[k] holds the element of global
-// rank k (lo ≤ k < hi), using randomized pivoting with a deterministic
-// fallback, like Select.
-func selectInPlace[T cmp.Ordered](xs []T, lo, hi, k int, rng *rand.Rand) {
-	budget := 2 * bitLen(hi-lo)
-	for {
-		if hi-lo <= smallCutoff {
-			insertionSort(xs[lo:hi])
-			return
-		}
-		var pivot int
-		if budget > 0 {
-			pivot = medianOfThreePivot(xs, lo, hi, rng)
-			budget--
-		} else {
-			pivot = medianOfMediansPivot(xs, lo, hi)
-		}
-		lt, gt := partition3(xs, lo, hi, pivot)
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return
 		}
 	}
 }

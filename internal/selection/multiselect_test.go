@@ -65,7 +65,7 @@ func TestMultiSelectMatchesSort(t *testing.T) {
 		for i := range ranks {
 			ranks[i] = rng.Intn(n)
 		}
-		got, err := MultiSelect(append([]int64(nil), xs...), ranks, rng)
+		got, err := MultiSelect(append([]int64(nil), xs...), ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestMultiSelectMatchesSort(t *testing.T) {
 
 func TestMultiSelectUnsortedDuplicateRanks(t *testing.T) {
 	xs := []int64{9, 3, 7, 1, 5}
-	got, err := MultiSelect(xs, []int{4, 0, 4, 2}, testRNG())
+	got, err := MultiSelect(xs, []int{4, 0, 4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +92,14 @@ func TestMultiSelectUnsortedDuplicateRanks(t *testing.T) {
 }
 
 func TestMultiSelectEmptyRanks(t *testing.T) {
-	got, err := MultiSelect([]int64{1, 2, 3}, nil, testRNG())
+	got, err := MultiSelect([]int64{1, 2, 3}, nil)
 	if err != nil || got != nil {
 		t.Fatalf("MultiSelect(nil ranks) = %v, %v; want nil, nil", got, err)
 	}
 }
 
 func TestMultiSelectRankOutOfRange(t *testing.T) {
-	if _, err := MultiSelect([]int64{1, 2}, []int{0, 5}, testRNG()); !errors.Is(err, ErrRankOutOfRange) {
+	if _, err := MultiSelect([]int64{1, 2}, []int{0, 5}); !errors.Is(err, ErrRankOutOfRange) {
 		t.Fatalf("error = %v, want ErrRankOutOfRange", err)
 	}
 }
@@ -113,7 +113,7 @@ func TestMultiSelectPlacesAllRanksInPlace(t *testing.T) {
 	}
 	want := sortedCopy(xs)
 	ranks := []int{0, 127, 255, 511, 767, 1023}
-	if _, err := MultiSelect(xs, ranks, rng); err != nil {
+	if _, err := MultiSelect(xs, ranks); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range ranks {
@@ -130,7 +130,7 @@ func TestRegularSample(t *testing.T) {
 	for i := range run {
 		run[i] = int64(16 - i)
 	}
-	got, err := RegularSample(run, 4, testRNG())
+	got, err := RegularSample(run, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRegularSampleSorted(t *testing.T) {
 	for i := range run {
 		run[i] = rng.Int63n(100)
 	}
-	got, err := RegularSample(run, 64, rng)
+	got, err := RegularSample(run, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRegularSampleSorted(t *testing.T) {
 }
 
 func TestRegularSampleIndivisible(t *testing.T) {
-	if _, err := RegularSample([]int64{1, 2, 3}, 2, testRNG()); err == nil {
+	if _, err := RegularSample([]int64{1, 2, 3}, 2); err == nil {
 		t.Error("RegularSample with s∤m should fail")
 	}
 }
@@ -180,7 +180,7 @@ func TestQuickRegularSampleSubRunProperty(t *testing.T) {
 			run[i] = r.Int63n(int64(m))
 		}
 		orig := append([]int64(nil), run...)
-		sample, err := RegularSample(run, s, rng)
+		sample, err := RegularSample(run, s)
 		if err != nil {
 			return false
 		}
@@ -214,7 +214,7 @@ func TestQuickMultiSelectPermutation(t *testing.T) {
 			ranks[i] = int(p) % len(raw)
 		}
 		cp := append([]int64(nil), raw...)
-		if _, err := MultiSelect(cp, ranks, rng); err != nil {
+		if _, err := MultiSelect(cp, ranks); err != nil {
 			return false
 		}
 		a, b := sortedCopy(cp), sortedCopy(raw)

@@ -1,26 +1,27 @@
 // Package selection implements linear-time selection (order statistics)
-// algorithms and the multi-selection routine used by OPAQ's sample phase.
+// and the multi-selection routine used by OPAQ's sample phase.
 //
-// The paper relies on two classical selection algorithms:
+// Select is the SELECT algorithm of Floyd and Rivest ([FR75] in the
+// paper): expected n + min(k, n−k) + o(n) comparisons. When its partition
+// rounds keep landing far from the target (adversarial or
+// duplicate-pathological input), it hands the remaining window to the
+// deterministic median-of-medians algorithm of Blum, Floyd, Pratt, Rivest
+// and Tarjan ([ea72]), so the worst case stays O(n). SelectDeterministic
+// runs [ea72] alone.
 //
-//   - the deterministic median-of-medians algorithm of Blum, Floyd, Pratt,
-//     Rivest and Tarjan ([ea72] in the paper) with O(m) worst-case time, and
-//   - randomized selection in the spirit of Floyd–Rivest ([FR75]) with O(m)
-//     expected time,
-//
-// and on a multi-selection built by recursive median splitting: to extract
-// the s regular sample ranks m/s, 2m/s, ..., m from a run of m elements,
+// Multi-selection is built by recursive median splitting: to extract the
+// s regular sample ranks m/s, 2m/s, ..., m from a run of m elements,
 // select the median, split, and recurse on both halves for log s levels,
 // giving O(m log s) total work (Section 2.1 of the paper).
 //
-// All functions operate in place and reorder their input slice.
+// No randomness is involved: every function is a pure function of its
+// input. All functions operate in place and reorder their input slice.
 package selection
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -29,53 +30,21 @@ import (
 var ErrRankOutOfRange = errors.New("selection: rank out of range")
 
 // Select partially reorders xs so that xs[k] holds the element of rank k
-// (0-based: k = 0 is the minimum) and returns that element. It uses
-// randomized quickselect with median-of-three pivoting seeded from rng,
-// falling back to deterministic median-of-medians pivot selection when a
-// recursion-depth budget is exhausted, so the worst case remains O(len(xs))
-// (an "introselect" in the terminology of later literature; the paper cites
-// [FR75] for the randomized and [ea72] for the deterministic variant).
-//
-// The rng may be nil, in which case a fixed-seed source is used; the result
-// value is identical either way, only the reordering differs.
-func Select[T cmp.Ordered](xs []T, k int, rng *rand.Rand) (T, error) {
+// (0-based: k = 0 is the minimum) and returns that element, using the
+// Floyd–Rivest algorithm with a median-of-medians fallback (see the
+// package doc): expected ~n + min(k, n−k) comparisons, O(len(xs)) worst
+// case.
+func Select[T cmp.Ordered](xs []T, k int) (T, error) {
 	var zero T
 	if k < 0 || k >= len(xs) {
 		return zero, fmt.Errorf("%w: k=%d, len=%d", ErrRankOutOfRange, k, len(xs))
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0x9e3779b9))
-	}
-	// Depth budget: 2*ceil(log2 n) randomized rounds before switching to the
-	// deterministic pivot rule, mirroring introsort's safeguard.
-	budget := 2 * bitLen(len(xs))
-	lo, hi := 0, len(xs) // half-open [lo, hi)
-	for {
-		if hi-lo <= smallCutoff {
-			insertionSort(xs[lo:hi])
-			return xs[k], nil
-		}
-		var pivot int
-		if budget > 0 {
-			pivot = medianOfThreePivot(xs, lo, hi, rng)
-			budget--
-		} else {
-			pivot = medianOfMediansPivot(xs, lo, hi)
-		}
-		lt, gt := partition3(xs, lo, hi, pivot)
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return xs[k], nil // k falls inside the run of pivot-equal elements
-		}
-	}
+	floydRivestInPlace(xs, 0, len(xs), k)
+	return xs[k], nil
 }
 
-// SelectDeterministic is Select with the median-of-medians pivot rule used
-// from the first iteration, guaranteeing O(len(xs)) worst-case time
+// SelectDeterministic selects with the median-of-medians pivot rule from
+// the first iteration, guaranteeing O(len(xs)) worst-case time
 // regardless of input order. It is the algorithm of [ea72] as described in
 // Section 2.1 of the paper.
 func SelectDeterministic[T cmp.Ordered](xs []T, k int) (T, error) {
@@ -83,39 +52,14 @@ func SelectDeterministic[T cmp.Ordered](xs []T, k int) (T, error) {
 	if k < 0 || k >= len(xs) {
 		return zero, fmt.Errorf("%w: k=%d, len=%d", ErrRankOutOfRange, k, len(xs))
 	}
-	lo, hi := 0, len(xs)
-	for {
-		if hi-lo <= smallCutoff {
-			insertionSort(xs[lo:hi])
-			return xs[k], nil
-		}
-		pivot := medianOfMediansPivot(xs, lo, hi)
-		lt, gt := partition3(xs, lo, hi, pivot)
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return xs[k], nil
-		}
-	}
+	selectInPlaceDeterministic(xs, 0, len(xs), k)
+	return xs[k], nil
 }
 
 // smallCutoff is the subproblem size below which selection falls back to
 // insertion sort; small enough to keep worst-case linearity, large enough to
 // amortize the partitioning overhead.
 const smallCutoff = 24
-
-// bitLen returns the number of bits needed to represent n (≥ 1 for n ≥ 1).
-func bitLen(n int) int {
-	b := 0
-	for n > 0 {
-		n >>= 1
-		b++
-	}
-	return b
-}
 
 // insertionSort sorts xs in place; used only for tiny subproblems.
 func insertionSort[T cmp.Ordered](xs []T) {
@@ -124,27 +68,6 @@ func insertionSort[T cmp.Ordered](xs []T) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// medianOfThreePivot picks a pivot index in [lo,hi) as the median of three
-// randomly chosen positions. Returning an index (not a value) lets
-// partition3 move the pivot explicitly.
-func medianOfThreePivot[T cmp.Ordered](xs []T, lo, hi int, rng *rand.Rand) int {
-	n := hi - lo
-	a := lo + rng.Intn(n)
-	b := lo + rng.Intn(n)
-	c := lo + rng.Intn(n)
-	// Median of xs[a], xs[b], xs[c] by index.
-	if xs[a] > xs[b] {
-		a, b = b, a
-	}
-	if xs[b] > xs[c] {
-		b = c
-		if xs[a] > xs[b] {
-			b = a
-		}
-	}
-	return b
 }
 
 // medianOfMediansPivot implements the BFPRT pivot rule on xs[lo:hi]: split
@@ -222,11 +145,6 @@ func partition3[T cmp.Ordered](xs []T, lo, hi, pivot int) (lt, gt int) {
 		}
 	}
 	return lt, gt
-}
-
-// Median reorders xs and returns its lower median (rank ⌊(len-1)/2⌋).
-func Median[T cmp.Ordered](xs []T, rng *rand.Rand) (T, error) {
-	return Select(xs, (len(xs)-1)/2, rng)
 }
 
 // sortedCopy returns a sorted copy of xs; shared test/reference helper.

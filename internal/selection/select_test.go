@@ -14,7 +14,7 @@ func TestSelectSmall(t *testing.T) {
 	xs := []int64{5, 1, 4, 2, 3}
 	for k := 0; k < 5; k++ {
 		cp := append([]int64(nil), xs...)
-		got, err := Select(cp, k, testRNG())
+		got, err := Select(cp, k)
 		if err != nil {
 			t.Fatalf("Select(k=%d): %v", k, err)
 		}
@@ -25,7 +25,7 @@ func TestSelectSmall(t *testing.T) {
 }
 
 func TestSelectSingleElement(t *testing.T) {
-	got, err := Select([]int64{7}, 0, testRNG())
+	got, err := Select([]int64{7}, 0)
 	if err != nil || got != 7 {
 		t.Fatalf("Select single = %d, %v; want 7, nil", got, err)
 	}
@@ -33,11 +33,11 @@ func TestSelectSingleElement(t *testing.T) {
 
 func TestSelectRankOutOfRange(t *testing.T) {
 	for _, k := range []int{-1, 3, 100} {
-		if _, err := Select([]int64{1, 2, 3}, k, testRNG()); !errors.Is(err, ErrRankOutOfRange) {
+		if _, err := Select([]int64{1, 2, 3}, k); !errors.Is(err, ErrRankOutOfRange) {
 			t.Errorf("Select(k=%d) error = %v, want ErrRankOutOfRange", k, err)
 		}
 	}
-	if _, err := Select([]int64{}, 0, testRNG()); !errors.Is(err, ErrRankOutOfRange) {
+	if _, err := Select([]int64{}, 0); !errors.Is(err, ErrRankOutOfRange) {
 		t.Errorf("Select on empty slice error = %v, want ErrRankOutOfRange", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestSelectMatchesSortAllRanks(t *testing.T) {
 		want := sortedCopy(xs)
 		for k := 0; k < n; k++ {
 			cp := append([]int64(nil), xs...)
-			got, err := Select(cp, k, rng)
+			got, err := Select(cp, k)
 			if err != nil {
 				t.Fatalf("Select: %v", err)
 			}
@@ -124,7 +124,7 @@ func TestSelectPartitionsAroundRank(t *testing.T) {
 		xs[i] = rng.Int63n(200)
 	}
 	k := 137
-	v, err := Select(xs, k, rng)
+	v, err := Select(xs, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +140,40 @@ func TestSelectPartitionsAroundRank(t *testing.T) {
 	}
 }
 
+// The Floyd–Rivest round budget hands its remaining window [lo, hi) to
+// selectInPlaceDeterministic with a rank k given as a slice index. The
+// window must end up partitioned around xs[k], holding the window's
+// (k-lo)-th smallest element, with nothing outside the window touched.
+func TestDeterministicWindowFallback(t *testing.T) {
+	rng := testRNG()
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(2000)
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = rng.Int63n(int64(1 + rng.Intn(100)))
+		}
+		lo := rng.Intn(n - 1)
+		hi := lo + 1 + rng.Intn(n-lo)
+		k := lo + rng.Intn(hi-lo)
+		orig := append([]int64(nil), xs...)
+		want := sortedCopy(xs[lo:hi])[k-lo]
+		selectInPlaceDeterministic(xs, lo, hi, k)
+		if xs[k] != want {
+			t.Fatalf("trial %d: window [%d,%d) k=%d: got %d, want %d", trial, lo, hi, k, xs[k], want)
+		}
+		for i := range xs {
+			switch {
+			case i < lo || i >= hi:
+				if xs[i] != orig[i] {
+					t.Fatalf("trial %d: xs[%d] outside window [%d,%d) changed", trial, i, lo, hi)
+				}
+			case i < k && xs[i] > want, i > k && xs[i] < want:
+				t.Fatalf("trial %d: xs[%d]=%d on the wrong side of %d at k=%d", trial, i, xs[i], want, k)
+			}
+		}
+	}
+}
+
 func TestMedian(t *testing.T) {
 	cases := []struct {
 		xs   []int64
@@ -151,19 +185,19 @@ func TestMedian(t *testing.T) {
 		{[]int64{4, 1, 3, 2}, 2},
 	}
 	for _, c := range cases {
-		got, err := Median(append([]int64(nil), c.xs...), testRNG())
+		got, err := Select(append([]int64(nil), c.xs...), (len(c.xs)-1)/2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != c.want {
-			t.Errorf("Median(%v) = %d, want %d", c.xs, got, c.want)
+			t.Errorf("lower median of %v = %d, want %d", c.xs, got, c.want)
 		}
 	}
 }
 
 func TestSelectFloat64(t *testing.T) {
 	xs := []float64{3.5, -1.25, 0, 7.75, 2.5}
-	got, err := Select(xs, 2, testRNG())
+	got, err := Select(xs, 2)
 	if err != nil || got != 2.5 {
 		t.Fatalf("Select float = %v, %v; want 2.5", got, err)
 	}
@@ -171,7 +205,7 @@ func TestSelectFloat64(t *testing.T) {
 
 func TestSelectString(t *testing.T) {
 	xs := []string{"pear", "apple", "fig", "date"}
-	got, err := Select(xs, 0, testRNG())
+	got, err := Select(xs, 0)
 	if err != nil || got != "apple" {
 		t.Fatalf("Select string = %q, %v; want apple", got, err)
 	}
@@ -186,7 +220,7 @@ func TestQuickSelectEqualsSort(t *testing.T) {
 		}
 		k := int(kRaw) % len(raw)
 		want := sortedCopy(raw)[k]
-		got, err := Select(append([]int64(nil), raw...), k, rng)
+		got, err := Select(append([]int64(nil), raw...), k)
 		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
@@ -203,7 +237,7 @@ func TestQuickSelectIsPermutation(t *testing.T) {
 		}
 		k := int(kRaw) % len(raw)
 		cp := append([]int64(nil), raw...)
-		if _, err := Select(cp, k, rng); err != nil {
+		if _, err := Select(cp, k); err != nil {
 			return false
 		}
 		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })

@@ -289,7 +289,7 @@ func TestPublicAPIConcurrentBuildDeterminism(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64((i * 2654435761) % 1_000_003)
 	}
-	cfg := opaq.Config{RunLen: 4000, SampleSize: 200, Seed: 3}
+	cfg := opaq.Config{RunLen: 4000, SampleSize: 200}
 	var want []int64
 	for _, w := range []int{1, 2, 7} {
 		c := cfg
@@ -435,7 +435,7 @@ func TestPublicAPIGenericPersistence(t *testing.T) {
 // sequential build across shard counts and both merge algorithms.
 func TestPublicAPIBuildSharded(t *testing.T) {
 	const runLen = 1000
-	cfg := opaq.Config{RunLen: runLen, SampleSize: 100, Seed: 11}
+	cfg := opaq.Config{RunLen: runLen, SampleSize: 100}
 	xs := make([]int64, 24*runLen)
 	for i := range xs {
 		xs[i] = int64((i * 2654435761) % 1_000_003)
