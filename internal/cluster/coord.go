@@ -424,42 +424,25 @@ func (c *Coordinator[T]) ownerQuarantined(owner string) bool {
 	return at != 0 && time.Since(time.Unix(0, at)) < c.quarantine
 }
 
-// validateFrames walks a binary ingest body, enforcing the same framing,
-// checksum, codec-kind and tenant-match rules the worker handler would,
-// and returns the total element count. Journaling skips the workers'
+// validateFrames walks a binary ingest body with the reader the worker
+// handler uses, so it enforces the same rules with the same messages, and
+// returns the total element count. Journaling skips the workers'
 // validation, so it must happen here — a body the fleet would reject
 // with 400 is rejected now, not silently accepted and dropped at replay.
 func (c *Coordinator[T]) validateFrames(tenant string, body []byte) (int64, error) {
 	rd := bytes.NewReader(body)
-	elemSize := c.opts.Codec.Size()
-	kind := c.opts.Codec.Kind()
-	var payload []byte
+	var payload, elemBytes []byte
 	var elems int64
 	for {
-		h, err := runio.ReadFrameHeader(rd, 0)
+		var err error
+		payload, elemBytes, err = runio.ReadDataFrame(rd, c.opts.Codec, tenant, payload)
 		if err == io.EOF {
 			return elems, nil
 		}
 		if err != nil {
 			return 0, err
 		}
-		if h.Type != runio.FrameData {
-			return 0, fmt.Errorf("frame type %d: only data frames ingest", h.Type)
-		}
-		if h.Kind != kind {
-			return 0, fmt.Errorf("codec kind %d, fleet speaks %d", h.Kind, kind)
-		}
-		if payload, err = runio.ReadFramePayload(rd, h, payload); err != nil {
-			return 0, err
-		}
-		frameTenant, elemBytes, err := runio.SplitDataPayload(payload, elemSize)
-		if err != nil {
-			return 0, err
-		}
-		if frameTenant != "" && frameTenant != tenant {
-			return 0, fmt.Errorf("frame tenant %q on route tenant %q", frameTenant, tenant)
-		}
-		elems += int64(len(elemBytes) / elemSize)
+		elems += int64(len(elemBytes) / c.opts.Codec.Size())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -335,17 +336,80 @@ func TestIngestJournalRejectsInvalidBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame[len(frame)-1] ^= 0xff // break the payload CRC
-	rec = doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", frame)
-	if rec.status != http.StatusBadRequest {
-		t.Fatalf("corrupt frame journaled: status %d", rec.status)
+	corrupt := bytes.Clone(frame)
+	corrupt[len(corrupt)-1] ^= 0xff // break the payload CRC
+	f32, err := runio.AppendDataFrame(nil, runio.Float32Codec{}, "", []float32{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := runio.AppendDataFrame(nil, runio.Int64Codec{}, "y", []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A worker engine serving tenant x: the nack it sends for each body
+	// is the message the journal's 400 must carry.
+	reg, err := engine.NewRegistry(engine.RegistryOptions[int64]{
+		Defaults: testWorkerDefaults(),
+		Codec:    runio.Int64Codec{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if _, err := reg.Create("x", nil); err != nil {
+		t.Fatal(err)
+	}
+	worker := engine.NewRegistryHandler(reg, engine.Int64Key, engine.HandlerOptions{})
+	nackMsg := func(body []byte) string {
+		t.Helper()
+		rec := doRaw(t, worker, http.MethodPost, "/t/x/ingest", "application/octet-stream", body)
+		if rec.status != http.StatusBadRequest {
+			t.Fatalf("worker accepted an invalid body: status %d", rec.status)
+		}
+		for {
+			hd, err := runio.ReadFrameHeader(&rec.body, 0)
+			if err != nil {
+				t.Fatalf("worker response: %v", err)
+			}
+			payload, err := runio.ReadFramePayload(&rec.body, hd, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hd.Type == runio.FrameNack {
+				_, msg, err := runio.DecodeNackPayload(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return msg
+			}
+		}
+	}
+
+	for name, body := range map[string][]byte{
+		"corrupt frame":   corrupt,
+		"wrong type":      runio.AppendAckFrame(nil, 1, 1),
+		"wrong kind":      f32,
+		"tenant mismatch": named,
+	} {
+		want := nackMsg(body)
+		rec := doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", body)
+		if rec.status != http.StatusBadRequest {
+			t.Fatalf("%s journaled: status %d", name, rec.status)
+		}
+		var out struct{ Error string }
+		if err := json.Unmarshal(rec.body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.HasSuffix(out.Error, ": "+want) {
+			t.Errorf("%s: journal error %q, want the worker's nack %q", name, out.Error, want)
+		}
 	}
 	if st := dead.wal.Stats(); st.Appends != 0 {
 		t.Fatalf("invalid bodies reached the journal: %+v", st)
 	}
 
 	// The valid version of the same frame IS journaled.
-	frame[len(frame)-1] ^= 0xff
 	rec = doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", frame)
 	if rec.status != http.StatusAccepted || rec.header.Get("X-Opaq-Journaled") != "true" {
 		t.Fatalf("valid frame with dead fleet: status %d, want 202 journaled", rec.status)

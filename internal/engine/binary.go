@@ -1,8 +1,10 @@
 // Binary ingest over HTTP: POST /ingest (and /t/{tenant}/ingest) with
 // Content-Type application/octet-stream carries runio ingest frames
-// instead of the JSON body — the same length-prefixed, CRC-checked
-// encoding the TCP listener (tcp.go) and the checkpoint format speak, so
-// an element is encoded exactly once end to end.
+// instead of the JSON body — length-prefixed, CRC-checked batches in the
+// element encoding the checkpoint format speaks, so an element is encoded
+// exactly once end to end. runio.ReadDataFrame holds the rules a valid
+// body follows; the coordinator's write-ahead journal checks bodies with
+// the same reader.
 //
 // A request body holds one or more data frames; the response body is
 // binary too: one ack frame covering every element ingested, followed by
@@ -14,7 +16,6 @@ package engine
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -86,8 +87,7 @@ func (h *handler[T]) ingestBinary(eng *Engine[T], w http.ResponseWriter, r *http
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
 	// The frame tenant, when set, must name the engine the route already
-	// resolved — a safety rail against a client streaming one tenant's
-	// frames at another tenant's URL.
+	// resolved.
 	route := r.PathValue("tenant")
 	if route == "" && h.reg != nil {
 		route = DefaultTenant
@@ -102,7 +102,9 @@ func (h *handler[T]) ingestBinary(eng *Engine[T], w http.ResponseWriter, r *http
 
 frames:
 	for {
-		fh, err := runio.ReadFrameHeader(r.Body, 0)
+		var elemBytes []byte
+		var err error
+		bufs.payload, elemBytes, err = runio.ReadDataFrame(r.Body, h.codec, route, bufs.payload)
 		if err == io.EOF {
 			break
 		}
@@ -110,33 +112,8 @@ frames:
 			status, nackMsg = http.StatusBadRequest, err.Error()
 			break
 		}
-		if fh.Type != runio.FrameData {
-			status, nackMsg = http.StatusBadRequest, fmt.Sprintf("frame type %d: only data frames ingest", fh.Type)
-			break
-		}
-		if fh.Kind != h.codec.Kind() {
-			status, nackMsg = http.StatusBadRequest, fmt.Sprintf("codec kind %d, engine speaks %d", fh.Kind, h.codec.Kind())
-			break
-		}
-		bufs.payload, err = runio.ReadFramePayload(r.Body, fh, bufs.payload)
-		if err != nil {
-			status, nackMsg = http.StatusBadRequest, err.Error()
-			break
-		}
-		tenant, elemBytes, err := runio.SplitDataPayload(bufs.payload, h.codec.Size())
-		if err != nil {
-			status, nackMsg = http.StatusBadRequest, err.Error()
-			break
-		}
-		if tenant != "" && tenant != route {
-			status, nackMsg = http.StatusBadRequest, fmt.Sprintf("frame tenant %q on route tenant %q", tenant, route)
-			break
-		}
-		bufs.elems, err = runio.DecodeFrameElems(h.codec, elemBytes, bufs.elems[:0])
-		if err != nil {
-			status, nackMsg = http.StatusBadRequest, err.Error()
-			break
-		}
+		// ReadDataFrame checked the element size, so decoding cannot fail.
+		bufs.elems, _ = runio.DecodeFrameElems(h.codec, elemBytes, bufs.elems[:0])
 		// Per-frame admission, so a multi-frame body sheds mid-stream with
 		// an exact ack for what landed instead of rejecting wholesale.
 		shed, err := shedNow(eng, h.opts.MaxPendingBytes)

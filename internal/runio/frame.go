@@ -28,7 +28,7 @@
 //	nack:    uint32 Retry-After seconds, uint16 message length, message
 //
 // The encoders are append-style so a steady-state sender re-uses one
-// buffer per connection and allocates nothing per frame.
+// buffer and allocates nothing per frame.
 package runio
 
 import (
@@ -47,11 +47,11 @@ type FrameType uint8
 const (
 	// FrameData carries one element batch toward an engine.
 	FrameData FrameType = 1
-	// FrameAck acknowledges one data frame: the batch is resident in the
-	// engine (an acked batch is included in any later checkpoint).
+	// FrameAck acknowledges ingested elements: they are resident in the
+	// engine (acked elements are included in any later checkpoint).
 	FrameAck FrameType = 2
-	// FrameNack rejects one data frame without dropping the connection —
-	// backpressure (with a Retry-After hint) or a per-frame client error.
+	// FrameNack rejects a data frame — backpressure (with a Retry-After
+	// hint) or a client error.
 	FrameNack FrameType = 3
 )
 
@@ -63,7 +63,7 @@ const frameTailSize = 4
 
 // DefaultMaxFramePayload caps one frame's payload when a reader passes 0:
 // large enough for a million-element int64 batch, small enough that a
-// malicious length prefix cannot balloon a connection buffer.
+// malicious length prefix cannot balloon a receive buffer.
 const DefaultMaxFramePayload = 8 << 20
 
 // frameMagic opens every frame.
@@ -73,7 +73,7 @@ const frameMagic = "OPQF"
 const frameVersion = 1
 
 // ErrFrame reports a malformed or corrupt ingest frame. Framing is lost
-// once it is returned from a stream: the connection must be dropped.
+// once it is returned from a stream: nothing after it can be trusted.
 var ErrFrame = errors.New("runio: malformed frame")
 
 // ErrFrameTooLarge reports a frame whose declared payload exceeds the
@@ -106,7 +106,7 @@ func putFrameHeader(buf []byte, h FrameHeader) {
 // is enforced after the header checksum, so a corrupt length fails as
 // ErrFrame and only an honestly oversized frame fails as ErrFrameTooLarge.
 // A stream that ends cleanly between frames returns io.EOF unwrapped, so
-// connection loops can distinguish a clean close from a torn frame.
+// readers can distinguish a clean end from a torn frame.
 func ReadFrameHeader(r io.Reader, maxPayload uint32) (FrameHeader, error) {
 	var h FrameHeader
 	var buf [FrameHeaderSize]byte
@@ -177,8 +177,8 @@ func sealFrame(dst []byte, start int, typ FrameType, kind uint16) []byte {
 }
 
 // AppendDataFrame appends one data frame carrying xs to dst and returns
-// the extended slice. tenant routes the batch on multi-tenant listeners
-// (empty means the default tenant; on HTTP it must match the route). The
+// the extended slice. tenant, when set, must name the tenant the body is
+// addressed to (ReadDataFrame rejects any other; empty always passes). The
 // payload — tenant plus elements — must stay within DefaultMaxFramePayload
 // unless the receiver is known to accept more.
 func AppendDataFrame[T any](dst []byte, codec Codec[T], tenant string, xs []T) ([]byte, error) {
@@ -264,20 +264,52 @@ func AppendNackFrame(dst []byte, retryAfter uint32, msg string) []byte {
 	return sealFrame(dst, start, FrameNack, 0)
 }
 
-// SplitDataPayload splits a data-frame payload into its tenant name and
+// ReadDataFrame reads the next data frame of an ingest body and checks it
+// against the rules every ingest receiver applies: a valid frame, of the
+// data type, whose codec kind is codec's and whose tenant field is empty
+// or names route — the tenant the body was addressed to, a safety rail
+// against one tenant's frames streamed at another tenant's route. buf is
+// the caller's payload buffer, re-used when its capacity suffices; the
+// possibly grown buffer comes back with elems, the element region inside
+// it (a whole number of codec elements). A body that ends cleanly between
+// frames returns io.EOF unwrapped.
+func ReadDataFrame[T any](r io.Reader, codec Codec[T], route string, buf []byte) (payload, elems []byte, err error) {
+	h, err := ReadFrameHeader(r, 0)
+	if err != nil {
+		return buf, nil, err
+	}
+	if h.Type != FrameData {
+		return buf, nil, fmt.Errorf("frame type %d: only data frames ingest", h.Type)
+	}
+	if h.Kind != codec.Kind() {
+		return buf, nil, fmt.Errorf("codec kind %d, want %d", h.Kind, codec.Kind())
+	}
+	if buf, err = ReadFramePayload(r, h, buf); err != nil {
+		return buf, nil, err
+	}
+	tenant, elems, err := splitDataPayload(buf, codec.Size())
+	if err != nil {
+		return buf, nil, err
+	}
+	if len(tenant) > 0 && string(tenant) != route {
+		return buf, nil, fmt.Errorf("frame tenant %q on route tenant %q", tenant, route)
+	}
+	return buf, elems, nil
+}
+
+// splitDataPayload splits a data-frame payload into its tenant name and
 // element bytes. The element region must divide elemSize exactly.
-func SplitDataPayload(payload []byte, elemSize int) (tenant string, elems []byte, err error) {
+func splitDataPayload(payload []byte, elemSize int) (tenant, elems []byte, err error) {
 	if len(payload) < 2 {
-		return "", nil, fmt.Errorf("%w: data payload %d bytes", ErrFrame, len(payload))
+		return nil, nil, fmt.Errorf("%w: data payload %d bytes", ErrFrame, len(payload))
 	}
 	tl := int(binary.LittleEndian.Uint16(payload))
 	if len(payload) < 2+tl {
-		return "", nil, fmt.Errorf("%w: tenant length %d beyond payload", ErrFrame, tl)
+		return nil, nil, fmt.Errorf("%w: tenant length %d beyond payload", ErrFrame, tl)
 	}
-	tenant = string(payload[2 : 2+tl])
-	elems = payload[2+tl:]
+	tenant, elems = payload[2:2+tl], payload[2+tl:]
 	if len(elems)%elemSize != 0 {
-		return "", nil, fmt.Errorf("%w: %d element bytes not a multiple of %d", ErrFrame, len(elems), elemSize)
+		return nil, nil, fmt.Errorf("%w: %d element bytes not a multiple of %d", ErrFrame, len(elems), elemSize)
 	}
 	return tenant, elems, nil
 }

@@ -2,6 +2,7 @@ package runio
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,11 +41,11 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	if h.Type != FrameData || h.Kind != KindInt64 {
 		t.Fatalf("header %+v", h)
 	}
-	tenant, elems, err := SplitDataPayload(p, codec.Size())
+	tenant, elems, err := splitDataPayload(p, codec.Size())
 	if err != nil {
-		t.Fatalf("SplitDataPayload: %v", err)
+		t.Fatalf("splitDataPayload: %v", err)
 	}
-	if tenant != "tenant-a" {
+	if string(tenant) != "tenant-a" {
 		t.Fatalf("tenant %q", tenant)
 	}
 	got, err := DecodeFrameElems(codec, elems, nil)
@@ -70,8 +71,8 @@ func TestDataFrameEmptyTenantAndBatch(t *testing.T) {
 	if h.Kind != KindFloat64 {
 		t.Fatalf("kind %d", h.Kind)
 	}
-	tenant, elems, err := SplitDataPayload(p, 8)
-	if err != nil || tenant != "" || len(elems) != 0 {
+	tenant, elems, err := splitDataPayload(p, 8)
+	if err != nil || len(tenant) != 0 || len(elems) != 0 {
 		t.Fatalf("tenant %q elems %d err %v", tenant, len(elems), err)
 	}
 }
@@ -134,7 +135,7 @@ func TestDecodeFrameElemsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, elems, err := SplitDataPayload(frame[FrameHeaderSize:len(frame)-4], codec.Size())
+	_, elems, err := splitDataPayload(frame[FrameHeaderSize:len(frame)-4], codec.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +239,17 @@ func TestReadFrameHeaderOversized(t *testing.T) {
 }
 
 func TestSplitDataPayloadMalformed(t *testing.T) {
-	if _, _, err := SplitDataPayload([]byte{1}, 8); !errors.Is(err, ErrFrame) {
+	if _, _, err := splitDataPayload([]byte{1}, 8); !errors.Is(err, ErrFrame) {
 		t.Fatalf("1-byte payload: %v", err)
 	}
 	// Tenant length pointing past the payload.
 	p := []byte{0xFF, 0x00, 'a', 'b'}
-	if _, _, err := SplitDataPayload(p, 8); !errors.Is(err, ErrFrame) {
+	if _, _, err := splitDataPayload(p, 8); !errors.Is(err, ErrFrame) {
 		t.Fatalf("overlong tenant: %v", err)
 	}
 	// Element bytes not a multiple of the element size.
 	p = []byte{1, 0, 't', 1, 2, 3}
-	if _, _, err := SplitDataPayload(p, 8); !errors.Is(err, ErrFrame) {
+	if _, _, err := splitDataPayload(p, 8); !errors.Is(err, ErrFrame) {
 		t.Fatalf("ragged elements: %v", err)
 	}
 }
@@ -317,7 +318,7 @@ func FuzzFrame(f *testing.F) {
 			}
 			switch h.Type {
 			case FrameData:
-				tenant, elems, err := SplitDataPayload(p, 8)
+				tenant, elems, err := splitDataPayload(p, 8)
 				if err == nil {
 					if len(tenant) > len(p) {
 						t.Fatal("tenant longer than payload")
@@ -326,7 +327,7 @@ func FuzzFrame(f *testing.F) {
 						t.Fatalf("split accepted but decode failed: %v", err)
 					}
 				} else if !errors.Is(err, ErrFrame) {
-					t.Fatalf("SplitDataPayload: unexpected error %v", err)
+					t.Fatalf("splitDataPayload: unexpected error %v", err)
 				}
 			case FrameAck:
 				if _, _, err := DecodeAckPayload(p); err != nil && !errors.Is(err, ErrFrame) {
@@ -339,4 +340,81 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadDataFrame pins the ingest-frame rules every receiver shares:
+// each body is read frame by frame until a clean io.EOF or the first
+// rule it breaks.
+func TestReadDataFrame(t *testing.T) {
+	data := func(tenant string, xs ...int64) []byte {
+		f, err := AppendDataFrame(nil, Int64Codec{}, tenant, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	two := append(data("", 1, 2), data("a", 3, 4, 5)...)
+	flipped := data("", 1, 2, 3)
+	flipped[FrameHeaderSize+3] ^= 1
+	f32, err := AppendDataFrame(nil, Float32Codec{}, "", []float32{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A data payload with an empty tenant and 5 element bytes.
+	ragged := AppendRawFrame(nil, FrameData, Int64Codec{}.Kind(), []byte{0, 0, 1, 2, 3, 4, 5})
+
+	cases := []struct {
+		name  string
+		body  []byte
+		route string
+		elems string // decoded frames read before the end; "" means none
+		isErr error  // sentinel the final error wraps, if any
+		msg   string // substring of the final error; "" means io.EOF
+	}{
+		{name: "empty body", body: nil},
+		{name: "multiple frames", body: two, route: "a", elems: "[[1 2] [3 4 5]]"},
+		{name: "tenant on its route", body: data("a", 7), route: "a", elems: "[[7]]"},
+		{name: "wrong frame type", body: AppendAckFrame(nil, 1, 1), msg: "frame type 2: only data frames ingest"},
+		{name: "wrong codec kind", body: f32, msg: fmt.Sprintf("codec kind %d, want %d", Float32Codec{}.Kind(), Int64Codec{}.Kind())},
+		{name: "tenant mismatch", body: two, route: "b", elems: "[[1 2]]", msg: `frame tenant "a" on route tenant "b"`},
+		{name: "tenant on the unnamed route", body: data("a", 7), msg: `frame tenant "a" on route tenant ""`},
+		{name: "flipped payload byte", body: flipped, isErr: ErrFrame, msg: "payload checksum mismatch"},
+		{name: "truncated header", body: two[:FrameHeaderSize-1], isErr: ErrFrame, msg: "short header"},
+		{name: "truncated second header", body: two[:len(data("", 1, 2))+3], elems: "[[1 2]]", isErr: ErrFrame, msg: "short header"},
+		{name: "ragged element bytes", body: ragged, isErr: ErrFrame, msg: "5 element bytes not a multiple of 8"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rd := bytes.NewReader(tc.body)
+			var buf, elems []byte
+			got := [][]int64{}
+			var err error
+			for {
+				buf, elems, err = ReadDataFrame(rd, Int64Codec{}, tc.route, buf)
+				if err != nil {
+					break
+				}
+				xs, err := DecodeFrameElems(Int64Codec{}, elems, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, xs)
+			}
+			if want := cmp.Or(tc.elems, "[]"); fmt.Sprint(got) != want {
+				t.Errorf("frames read %v, want %v", got, want)
+			}
+			if tc.msg == "" {
+				if err != io.EOF {
+					t.Fatalf("end: %v, want io.EOF", err)
+				}
+				return
+			}
+			if err == io.EOF || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("error %v, want one containing %q", err, tc.msg)
+			}
+			if tc.isErr != nil && !errors.Is(err, tc.isErr) {
+				t.Fatalf("error %v, want %v", err, tc.isErr)
+			}
+		})
+	}
 }
