@@ -170,9 +170,28 @@ func (c *WorkerClient) GetBodyTag(ctx context.Context, url, ifNoneMatch string) 
 		return 0, nil, "", err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp)
 	if err != nil {
 		return 0, nil, "", err
 	}
 	return resp.StatusCode, b, resp.Header.Get("ETag"), nil
+}
+
+// maxSizedBody caps the Content-Length readBody trusts for its single
+// allocation; a longer declared body is read by io.ReadAll, which grows
+// only as bytes actually arrive.
+const maxSizedBody = 64 << 20
+
+// readBody reads a response body. One that declares its length (a
+// worker's /summary does) is read into a single allocation of exactly
+// that size instead of io.ReadAll's doubling growth.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxSizedBody {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	return io.ReadAll(resp.Body)
 }

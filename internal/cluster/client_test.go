@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,5 +122,37 @@ func TestWorkerClientConditionalGet(t *testing.T) {
 	}
 	if conditional.Load() != 2 {
 		t.Fatalf("server saw %d conditional requests, want 2", conditional.Load())
+	}
+}
+
+// TestWorkerClientReadsBodies: a body with a Content-Length (a worker's
+// /summary) is read into one allocation of exactly its size, and a
+// chunked body without one is still read whole.
+func TestWorkerClientReadsBodies(t *testing.T) {
+	payload := bytes.Repeat([]byte("opaq summary "), 10_000)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/sized" {
+			w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+			w.Write(payload)
+			return
+		}
+		half := len(payload) / 2
+		w.Write(payload[:half])
+		w.(http.Flusher).Flush()
+		w.Write(payload[half:])
+	}))
+	defer srv.Close()
+	c := &WorkerClient{}
+	for _, path := range []string{"/sized", "/chunked"} {
+		status, body, err := c.GetBody(context.Background(), srv.URL+path)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("%s: status %d, error %v", path, status, err)
+		}
+		if !bytes.Equal(body, payload) {
+			t.Fatalf("%s: body of %d bytes differs from the %d sent", path, len(body), len(payload))
+		}
+		if path == "/sized" && cap(body) != len(payload) {
+			t.Fatalf("sized body: capacity %d for %d bytes, want one exact allocation", cap(body), len(payload))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -361,30 +362,6 @@ func TestIngestJournalRejectsInvalidBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	worker := engine.NewRegistryHandler(reg, engine.Int64Key, engine.HandlerOptions{})
-	nackMsg := func(body []byte) string {
-		t.Helper()
-		rec := doRaw(t, worker, http.MethodPost, "/t/x/ingest", "application/octet-stream", body)
-		if rec.status != http.StatusBadRequest {
-			t.Fatalf("worker accepted an invalid body: status %d", rec.status)
-		}
-		for {
-			hd, err := runio.ReadFrameHeader(&rec.body, 0)
-			if err != nil {
-				t.Fatalf("worker response: %v", err)
-			}
-			payload, err := runio.ReadFramePayload(&rec.body, hd, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hd.Type == runio.FrameNack {
-				_, msg, err := runio.DecodeNackPayload(payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return msg
-			}
-		}
-	}
 
 	for name, body := range map[string][]byte{
 		"corrupt frame":   corrupt,
@@ -392,18 +369,7 @@ func TestIngestJournalRejectsInvalidBodies(t *testing.T) {
 		"wrong kind":      f32,
 		"tenant mismatch": named,
 	} {
-		want := nackMsg(body)
-		rec := doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", body)
-		if rec.status != http.StatusBadRequest {
-			t.Fatalf("%s journaled: status %d", name, rec.status)
-		}
-		var out struct{ Error string }
-		if err := json.Unmarshal(rec.body.Bytes(), &out); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.HasSuffix(out.Error, ": "+want) {
-			t.Errorf("%s: journal error %q, want the worker's nack %q", name, out.Error, want)
-		}
+		expectJournalNack(t, h, name, body, workerNack(t, worker, body))
 	}
 	if st := dead.wal.Stats(); st.Appends != 0 {
 		t.Fatalf("invalid bodies reached the journal: %+v", st)
@@ -413,5 +379,95 @@ func TestIngestJournalRejectsInvalidBodies(t *testing.T) {
 	rec = doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", frame)
 	if rec.status != http.StatusAccepted || rec.header.Get("X-Opaq-Journaled") != "true" {
 		t.Fatalf("valid frame with dead fleet: status %d, want 202 journaled", rec.status)
+	}
+}
+
+// workerNack posts body to tenant x of a worker handler, which must
+// reject it with 400, and returns the message of its nack frame.
+func workerNack(t *testing.T, worker http.Handler, body []byte) string {
+	t.Helper()
+	rec := doRaw(t, worker, http.MethodPost, "/t/x/ingest", "application/octet-stream", body)
+	if rec.status != http.StatusBadRequest {
+		t.Fatalf("worker accepted an invalid body: status %d", rec.status)
+	}
+	for {
+		hd, err := runio.ReadFrameHeader(&rec.body, 0)
+		if err != nil {
+			t.Fatalf("worker response: %v", err)
+		}
+		payload, err := runio.ReadFramePayload(&rec.body, hd, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hd.Type == runio.FrameNack {
+			_, msg, err := runio.DecodeNackPayload(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return msg
+		}
+	}
+}
+
+// expectJournalNack posts body to tenant x of a coordinator whose fleet is
+// down, which must refuse to journal it: 400, with an error ending in the
+// nack a worker sends for the same body.
+func expectJournalNack(t *testing.T, coord http.Handler, name string, body []byte, want string) {
+	t.Helper()
+	rec := doRaw(t, coord, http.MethodPost, "/t/x/ingest", "application/octet-stream", body)
+	if rec.status != http.StatusBadRequest {
+		t.Fatalf("%s journaled: status %d", name, rec.status)
+	}
+	var out struct{ Error string }
+	if err := json.Unmarshal(rec.body.Bytes(), &out); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !strings.HasSuffix(out.Error, ": "+want) {
+		t.Errorf("%s: journal error %q, want the worker's nack %q", name, out.Error, want)
+	}
+}
+
+// TestIngestRejectsNaN: a float binary frame carrying NaN is refused by a
+// worker (400 nack, nothing admitted) and by a coordinator journaling for
+// a dead fleet (400, nothing journaled), with one message.
+func TestIngestRejectsNaN(t *testing.T) {
+	const msg = "element 1 is NaN; NaN keys have no total order"
+	body, err := runio.AppendDataFrame(nil, runio.Float64Codec{}, "", []float64{1, math.NaN(), 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := engine.NewRegistry(engine.RegistryOptions[float64]{
+		Defaults: testWorkerDefaults(),
+		Codec:    runio.Float64Codec{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	eng, err := reg.Create("x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := workerNack(t, engine.NewRegistryHandler(reg, engine.Float64Key, engine.HandlerOptions{}), body); got != msg {
+		t.Fatalf("worker nack %q, want %q", got, msg)
+	}
+	if n := eng.N(); n != 0 {
+		t.Fatalf("worker admitted %d elements of a NaN frame", n)
+	}
+
+	dead, err := New(Options[float64]{
+		Workers: []string{"http://127.0.0.1:1"},
+		Codec:   runio.Float64Codec{},
+		Parse:   engine.Float64Key,
+		Client:  &WorkerClient{HTTP: &http.Client{Timeout: time.Second}, Attempts: 1, Backoff: time.Millisecond},
+		WALDir:  t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dead.Close)
+	expectJournalNack(t, dead.Handler(), "NaN frame", body, msg)
+	if st := dead.wal.Stats(); st.Appends != 0 {
+		t.Fatalf("a NaN frame reached the journal: %+v", st)
 	}
 }

@@ -42,6 +42,13 @@ const persistChunk = 4096
 // ErrSummaryFormat reports a malformed summary stream.
 var ErrSummaryFormat = errors.New("core: malformed summary stream")
 
+// SavedSize returns the exact number of bytes SaveSummary writes for s
+// with a codec of elemSize-byte elements, so a caller encoding into
+// memory can size its buffer once.
+func SavedSize[T cmp.Ordered](s *Summary[T], elemSize int) int {
+	return len(summaryMagic) + 48 + (2+len(s.samples))*elemSize + 4
+}
+
 // SaveSummary writes s to w using codec for element encoding.
 func SaveSummary[T cmp.Ordered](w io.Writer, s *Summary[T], codec runio.Codec[T]) error {
 	bw := bufio.NewWriter(w)

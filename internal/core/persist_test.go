@@ -63,6 +63,9 @@ func TestSaveLoadChunksAndPlainCodec(t *testing.T) {
 	if !bytes.Equal(bulk.Bytes(), plain.Bytes()) {
 		t.Fatal("per-element and bulk encodings differ")
 	}
+	if got, want := SavedSize(s, 8), bulk.Len(); got != want {
+		t.Fatalf("SavedSize = %d, SaveSummary wrote %d bytes", got, want)
+	}
 	for name, codec := range map[string]runio.Codec[int64]{"bulk": runio.Int64Codec{}, "plain": plainCodec{runio.Int64Codec{}}} {
 		got, err := LoadSummary(bytes.NewReader(bulk.Bytes()), codec)
 		if err != nil {
@@ -82,6 +85,9 @@ func TestSaveLoadEmptySummary(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveSummary(&buf, s, runio.Int64Codec{}); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := SavedSize(s, 8), buf.Len(); got != want {
+		t.Fatalf("SavedSize = %d, SaveSummary wrote %d bytes", got, want)
 	}
 	got, err := LoadSummary[int64](&buf, runio.Int64Codec{})
 	if err != nil {

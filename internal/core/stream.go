@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"slices"
 
 	"opaq/internal/merge"
 	"opaq/internal/selection"
@@ -14,10 +15,28 @@ import (
 //
 // Internally it buffers up to RunLen elements; each full buffer becomes
 // one run and is sampled exactly as the pull-based sample phase would, so
-// Summary() is bit-identical to running Build over the same element
-// sequence at any Config.Workers setting. The buffered tail (a partial
-// run) is folded in on Summary() with the same ragged-run accounting
-// Build uses, at the cost of an O(RunLen log s) flush.
+// Summary() equals running Build over the same element sequence at any
+// Config.Workers setting. The buffered tail (a partial run) is folded in
+// on Summary() with the same ragged-run accounting Build uses.
+//
+// # Cost model
+//
+// The buffered run is kept as a sorted prefix plus an unsorted suffix of
+// the keys added since the last cut. Summary() sorts only that suffix,
+// merges it into the prefix in one linear pass (pool-drawn scratch) and
+// reads the tail's regular samples at stride Step: O(u log u + t) for u
+// new keys and a tail of t < RunLen keys, instead of re-selecting the
+// whole tail, plus the merge of the per-run sample lists. A full run
+// whose prefix is empty (no Summary() since it started: pure ingest)
+// is sampled by in-place multi-selection, O(RunLen log s), as Build does;
+// one with a sorted prefix is finished by the same sort-and-merge path.
+//
+// Regular samples are exact order statistics of their run, so the path
+// taken never changes a sample's value: summaries are identical whether
+// or not intermediate Summary() calls were made. For floating-point keys
+// "identical" means equal under ==: +0 and −0 compare equal and either
+// may land at a given rank, so the encoded bytes of such a sample can
+// differ. NaN has no rank at all and must not be added.
 //
 // # Sealing
 //
@@ -27,10 +46,13 @@ import (
 // in-progress partial run stays buffered and flows into the next epoch.
 // Because a seal never cuts a run, the multiset of per-run sample lists —
 // and therefore the merge of all sealed summaries plus Summary() — is
-// byte-identical to never having sealed at all.
+// identical to never having sealed at all.
 type StreamBuilder[T cmp.Ordered] struct {
 	cfg Config
 	buf []T
+	// sorted is the length of buf's sorted prefix: the keys already
+	// ordered by an earlier Summary() of this run.
+	sorted int
 
 	// State of whole runs flushed since the last Seal.
 	lists    [][]T // per-run sorted sample lists
@@ -114,6 +136,46 @@ func (b *StreamBuilder[T]) N() int64 { return b.runN + int64(len(b.buf)) }
 // a Seal would leave behind for the next epoch.
 func (b *StreamBuilder[T]) Buffered() int { return len(b.buf) }
 
+// sortBuf sorts the buffered run in place: it sorts only the keys added
+// since the last cut and merges them into the sorted prefix in one linear
+// pass, with scratch for the fresh keys alone. Keys that arrive in order
+// skip the merge.
+func (b *StreamBuilder[T]) sortBuf() {
+	if b.sorted == len(b.buf) {
+		return
+	}
+	fresh := b.buf[b.sorted:]
+	slices.Sort(fresh)
+	if i := b.sorted - 1; i >= 0 && fresh[0] < b.buf[i] {
+		// Merge from the back: the fresh keys move to scratch, and the
+		// write cursor k = i+j+1 never passes the prefix's read cursor i.
+		// A tie places the fresh key last, as a forward merge would.
+		scratch := append(getSamples[T](len(fresh)), fresh...)
+		j := len(scratch) - 1
+		for k := len(b.buf) - 1; j >= 0; k-- {
+			if i >= 0 && scratch[j] < b.buf[i] {
+				b.buf[k] = b.buf[i]
+				i--
+			} else {
+				b.buf[k] = scratch[j]
+				j--
+			}
+		}
+		putSamples(scratch)
+	}
+	b.sorted = len(b.buf)
+}
+
+// regularSamples appends the buffered run's regular samples — the keys of
+// rank step−1, 2·step−1, … — to dst. The buffer must be sorted.
+func (b *StreamBuilder[T]) regularSamples(dst []T) []T {
+	step := b.cfg.Step()
+	for r := step - 1; r < len(b.buf); r += step {
+		dst = append(dst, b.buf[r])
+	}
+	return dst
+}
+
 // flush samples the buffered run, folds it into the whole-run state and
 // clears the buffer.
 func (b *StreamBuilder[T]) flush() error {
@@ -133,19 +195,28 @@ func (b *StreamBuilder[T]) flush() error {
 	}
 	b.runs++
 	if si > 0 {
-		ranks := make([]int, si)
-		for k := 1; k <= si; k++ {
-			ranks[k-1] = k*step - 1
-		}
-		samples, err := selection.MultiSelect(b.buf, ranks)
-		if err != nil {
-			return err
+		var samples []T
+		if b.sorted > 0 {
+			// A Summary() already sorted part of this run: finishing the
+			// sort reuses that work instead of selecting over it again.
+			b.sortBuf()
+			samples = b.regularSamples(make([]T, 0, si))
+		} else {
+			ranks := make([]int, si)
+			for k := 1; k <= si; k++ {
+				ranks[k-1] = k*step - 1
+			}
+			var err error
+			if samples, err = selection.MultiSelect(b.buf, ranks); err != nil {
+				return err
+			}
 		}
 		b.lists = append(b.lists, samples)
 	}
-	// MultiSelect permutes the run in place but its sample list is a fresh
-	// slice, so the run buffer is dead here and can be refilled in place.
+	// Either path leaves a fresh sample list, so the run buffer is dead
+	// here and can be refilled in place.
 	b.buf = b.buf[:0]
+	b.sorted = 0
 	return nil
 }
 
@@ -185,7 +256,8 @@ func (b *StreamBuilder[T]) Seal() *Summary[T] {
 // Summary returns the summary over everything the builder currently holds
 // (see N). The builder remains usable afterwards; the buffered partial run
 // is consumed as a (ragged) run of its own, exactly as Build treats a
-// short final run.
+// short final run. Summary reorders the buffered run (it stays sorted for
+// the next cut), so it needs the same exclusive access as Add.
 func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 	if b.N() == 0 {
 		// Identical to Build over an empty reader: the canonical empty
@@ -199,27 +271,11 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 	if runs == 0 {
 		minV, maxV = b.bufMin, b.bufMax
 	}
+	step := b.cfg.Step()
+	si := len(b.buf) / step
 	if len(b.buf) > 0 {
-		step := b.cfg.Step()
-		si := len(b.buf) / step
 		leftover += int64(len(b.buf) - si*step)
 		runs++
-		if si > 0 {
-			ranks := make([]int, si)
-			for k := 1; k <= si; k++ {
-				ranks[k-1] = k*step - 1
-			}
-			// The tail must be copied (ingestion continues into b.buf), but
-			// the copy is pure scratch: MultiSelect permutes it and returns a
-			// fresh sample list, so it goes straight back to the pool.
-			cp := append(getSamples[T](len(b.buf)), b.buf...)
-			samples, err := selection.MultiSelect(cp, ranks)
-			putSamples(cp)
-			if err != nil {
-				return nil, err
-			}
-			lists = append(lists[:len(lists):len(lists)], samples)
-		}
 		if b.bufMin < minV {
 			minV = b.bufMin
 		}
@@ -227,13 +283,24 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 			maxV = b.bufMax
 		}
 	}
-	total := 0
+	total := si
 	for _, l := range lists {
 		total += len(l)
 	}
+	samples := getSamples[T](total)
+	var tail []T
+	if si > 0 {
+		b.sortBuf()
+		// The tail's sample list is scratch: the merge below copies it,
+		// so it goes straight back to the pool.
+		tail = b.regularSamples(getSamples[T](si))
+		lists = append(lists[:len(lists):len(lists)], tail)
+	}
+	samples = merge.KWayInto(samples, lists)
+	putSamples(tail)
 	return &Summary[T]{
-		samples:  merge.KWayInto(getSamples[T](total), lists),
-		step:     int64(b.cfg.Step()),
+		samples:  samples,
+		step:     int64(step),
 		runs:     runs,
 		n:        b.N(),
 		leftover: leftover,

@@ -106,13 +106,9 @@ func (e *Engine[T]) compactPass(force bool) (bool, error) {
 	e.epochMu.Lock()
 	planned := e.ring.Load()
 	ring := *planned
-	if !force && (!e.compaction.Enabled || len(ring) <= e.compaction.MinEpochs) {
-		e.epochMu.Unlock()
-		return false, nil
-	}
-	if len(ring) < 2 {
-		e.epochMu.Unlock()
-		return false, nil
+	if len(ring) < 2 || !force && (!e.compaction.Enabled || len(ring) <= e.compaction.MinEpochs) {
+		_, err := e.unlockEpoch()
+		return false, err
 	}
 	metas := make([]epochMeta, len(ring))
 	for i, ep := range ring {
@@ -124,9 +120,8 @@ func (e *Engine[T]) compactPass(force bool) (bool, error) {
 			return epochMeta{n: a.n + b.n, seals: a.seals + b.seals, first: a.first, last: b.last}
 		},
 		e.compactGate())
-	e.epochMu.Unlock()
-	if len(spans) == len(ring) {
-		return false, nil
+	if _, err := e.unlockEpoch(); err != nil || len(spans) == len(ring) {
+		return false, err
 	}
 
 	// The merges run lock-free: epochs are immutable, and the planned
@@ -167,12 +162,12 @@ func (e *Engine[T]) compactPass(force bool) (bool, error) {
 	}
 
 	e.epochMu.Lock()
-	defer e.epochMu.Unlock()
 	if e.ring.Load() != planned {
 		// A seal, eviction or competing compaction changed the ring while
 		// the merges ran; the work is discarded (answers were never at
 		// risk — the published ring was untouched).
-		return false, nil
+		_, err := e.unlockEpoch()
+		return false, err
 	}
 	// Publishing the compacted ring refreshes the age deadline (a
 	// compacted head's SealedAt is its newest covered seal — eviction
@@ -183,5 +178,6 @@ func (e *Engine[T]) compactPass(force bool) (bool, error) {
 	e.publishRingLocked(&compacted)
 	e.compactedEpochs.Add(folded)
 	e.compactions.Add(1)
-	return true, nil
+	_, err = e.unlockEpoch()
+	return true, err
 }

@@ -35,7 +35,14 @@
 // restore, bulk load), never by plain ingest. A version-missed query
 // therefore merges only the live stripes' partial summaries and folds
 // them into the cached prefix: steady-state rebuild cost is O(unsealed
-// tail), not O(retained window). A rotation that only appends epochs
+// tail), not O(retained window). Cutting those partial summaries — the
+// only rebuild work done under the epoch lock — is incremental too: each
+// stripe's core.StreamBuilder keeps its partial run sorted up to the last
+// cut, so a cut sorts only the keys ingested since and merges them in
+// linearly, O(new keys · log + tail) instead of a fresh O(RunLen log s)
+// multi-selection per stripe per query. Every release of the epoch lock
+// re-checks the count/bytes seal triggers (unlockEpoch), so a steady
+// read load cannot starve them. A rotation that only appends epochs
 // folds them into the cached prefix; when the prefix itself must be
 // rebuilt cold, the k-way merge over the ring fans out across
 // Config.Workers (core.MergeAllParallel). Because summaries are
@@ -432,20 +439,7 @@ func (e *Engine[T]) admit() error {
 // Options.MaxPending set, a backlogged engine rejects the element with
 // ErrBacklogged instead of buffering it.
 func (e *Engine[T]) Ingest(v T) error {
-	if err := e.admit(); err != nil {
-		return err
-	}
-	st := e.stripes[e.next.Add(1)%uint64(len(e.stripes))]
-	st.mu.Lock()
-	err := st.sb.Add(v)
-	st.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	e.count.Add(1)
-	e.pending.Add(1)
-	e.version.Add(1)
-	return e.maybeRotate()
+	return e.IngestBatch([]T{v})
 }
 
 // IngestBatch observes a batch of elements. The whole batch lands on one
@@ -461,12 +455,17 @@ func (e *Engine[T]) IngestBatch(vs []T) error {
 	st := e.stripes[e.next.Add(1)%uint64(len(e.stripes))]
 	st.mu.Lock()
 	err := st.sb.AddBatch(vs)
+	if err == nil {
+		// Counted before the stripe lock is released, so no snapshot or
+		// seal (both read stripes under it) sees an element that N and
+		// PendingElems do not yet include.
+		e.count.Add(int64(len(vs)))
+		e.pending.Add(int64(len(vs)))
+	}
 	st.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	e.count.Add(int64(len(vs)))
-	e.pending.Add(int64(len(vs)))
 	e.version.Add(1)
 	return e.maybeRotate()
 }
@@ -538,7 +537,8 @@ func (e *Engine[T]) publishRingLocked(ring *[]*Epoch[T]) {
 // again; it never serves data older than its label promises. epochMu is
 // held while the ring and stripes are read so a concurrent rotation cannot
 // move elements between them mid-read (which would double-count or drop a
-// stripe).
+// stripe); a seal its release triggers comes after the merge set is cut,
+// so this snapshot still describes one consistent state.
 //
 // The reassembly is two-level: the sealed ring's merge — the frozen
 // prefix — is served from a cache keyed on the ring slice's identity, so
@@ -569,7 +569,9 @@ func (e *Engine[T]) rebuildLocked(version uint64) (*Snapshot[T], error) {
 		}
 		tails = append(tails, sum)
 	}
-	e.epochMu.Unlock()
+	if err := e.releaseEpoch(); err != nil {
+		return nil, err
+	}
 
 	// The merge set is immutable from here on; the merges run without any
 	// engine lock but mergeMu.
@@ -787,7 +789,9 @@ func (e *Engine[T]) Stats() Stats {
 	}
 	evictedEpochs := e.evictedEpochs.Load()
 	evictedN := e.evictedN.Load()
-	e.epochMu.Unlock()
+	// A failed rotation (impossible with matching configs) leaves data
+	// live; the next trigger retries.
+	_ = e.releaseEpoch()
 	st := Stats{
 		N:               e.count.Load(),
 		Version:         e.version.Load(),
@@ -841,11 +845,13 @@ func (e *Engine[T]) absorb(sum *core.Summary[T], src EpochSource) error {
 	e.epochMu.Lock()
 	e.appendEpochLocked(&Epoch[T]{Summary: sum, SealedAt: time.Now(), Source: src})
 	e.applyRetentionLocked(time.Now())
-	e.epochMu.Unlock()
 	e.count.Add(sum.N())
 	e.version.Add(1)
-	// Post-absorb compaction, outside epochMu (see compactPass); the
-	// epoch is already published, so a failure must not unwind it.
+	// The epoch is published: a failure from here on must not unwind it.
+	if _, err := e.unlockEpoch(); err != nil {
+		return err
+	}
+	// Post-absorb compaction, outside epochMu (see compactPass).
 	_, cerr := e.compactPass(false)
 	return cerr
 }

@@ -67,7 +67,9 @@ type Epoch[T cmp.Ordered] struct {
 // explicitly. Whatever the trigger, a seal detaches only completed runs —
 // each stripe's in-progress partial run stays live and flows into the next
 // epoch — so the effective epoch granularity is at least one RunLen per
-// active stripe.
+// active stripe. The count and bytes triggers hold under any read load:
+// they are re-checked whenever the epoch lock is released, and an ingest
+// that finds sealable state at twice a bound waits for the lock to seal.
 type EpochPolicy struct {
 	// MaxElems seals when the number of unsealed elements reaches this
 	// bound (0 = no count trigger). Values below Stripes·RunLen cause
@@ -163,7 +165,9 @@ type EpochStats struct {
 func (e *Engine[T]) Rotate() (sealed bool, err error) {
 	e.epochMu.Lock()
 	sealed, err = e.rotateLocked(time.Now())
-	e.epochMu.Unlock()
+	if _, uerr := e.unlockEpoch(); err == nil {
+		err = uerr
+	}
 	if err != nil {
 		return sealed, err
 	}
@@ -260,25 +264,50 @@ func (e *Engine[T]) applyRetentionLocked(now time.Time) bool {
 }
 
 // maybeRotate applies the EpochPolicy count/bytes triggers after an
-// ingest. When another rotation is already in flight the trigger is
-// skipped — that rotation will observe the same pending state.
+// ingest. When epochMu is taken the trigger is left to the holder, which
+// re-checks it on release (unlockEpoch); only past the hard ceiling
+// (pastCeiling) does the ingest wait for the lock itself, so a holder
+// that is slow to release — descheduled, say — stalls writers instead of
+// letting unsealed state grow with the ingest rate.
 func (e *Engine[T]) maybeRotate() error {
 	if !e.overThreshold() {
 		return nil
 	}
 	if !e.epochMu.TryLock() {
-		return nil
+		if !e.pastCeiling() {
+			return nil
+		}
+		e.epochMu.Lock()
 	}
-	if !e.overThreshold() {
-		e.epochMu.Unlock()
-		return nil
+	return e.releaseEpoch()
+}
+
+// unlockEpoch releases epochMu, first rotating under it when a
+// count/bytes trigger is due, and reports whether it rotated. Every
+// holder of epochMu releases through it, which makes the trigger sticky:
+// maybeRotate only TryLocks, and an ingest that crosses the threshold
+// while anyone holds (or queues for) the lock leaves the check to that
+// holder's release, which comes after the ingest's elements are counted.
+// A steady read load (snapshot rebuilds, Stats, checkpoints) therefore
+// cannot starve the trigger. The rotation reuses the lock the caller
+// already holds and takes only stripe locks besides, never mergeMu.
+func (e *Engine[T]) unlockEpoch() (rotated bool, err error) {
+	if e.overThreshold() {
+		rotated = true
+		_, err = e.rotateLocked(time.Now())
 	}
-	_, err := e.rotateLocked(time.Now())
 	e.epochMu.Unlock()
-	if err == nil {
-		// Same post-seal compaction as Rotate, outside epochMu.
-		_, err = e.compactPass(false)
+	return rotated, err
+}
+
+// releaseEpoch is unlockEpoch followed, when it rotated, by the same
+// post-seal compaction as Rotate, outside epochMu.
+func (e *Engine[T]) releaseEpoch() error {
+	rotated, err := e.unlockEpoch()
+	if err != nil || !rotated {
+		return err
 	}
+	_, err = e.compactPass(false)
 	return err
 }
 
@@ -290,6 +319,18 @@ func (e *Engine[T]) overThreshold() bool {
 		return true
 	}
 	return e.policy.MaxBytes > 0 && p*e.elemSize >= e.policy.MaxBytes
+}
+
+// pastCeiling reports whether the unsealed state a seal could take —
+// pending elements beyond the partial runs, which no seal detaches —
+// has reached twice an EpochPolicy count/bytes bound. The comparisons
+// divide rather than multiply, so a huge bound cannot overflow.
+func (e *Engine[T]) pastCeiling() bool {
+	p := e.pending.Load() - int64(len(e.stripes))*int64(e.cfg.RunLen-1)
+	if e.policy.MaxElems > 0 && p/2 >= e.policy.MaxElems {
+		return true
+	}
+	return e.policy.MaxBytes > 0 && p*e.elemSize/2 >= e.policy.MaxBytes
 }
 
 // expiredCut returns the length of ring's expired prefix at now: the

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -387,6 +388,77 @@ func TestEngineCheckpointConcurrentWithIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSealTriggerSurvivesReaders is the seal-trigger liveness adversary:
+// continuous Checkpoint and Snapshot readers hold epochMu against
+// IngestBatch writers, whose count trigger only TryLocks it. Every
+// release of epochMu re-checks the trigger, and an ingest past twice the
+// trigger waits for the lock, so unsealed state must stay within a small
+// multiple of MaxElems at every sample instead of growing while the
+// readers win the lock.
+func TestSealTriggerSurvivesReaders(t *testing.T) {
+	const maxElems = 8192
+	e, err := New[int64](Options{
+		Config:  core.Config{RunLen: 512, SampleSize: 32},
+		Stripes: 2,
+		Epoch:   EpochPolicy{MaxElems: maxElems},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		rng := rand.New(rand.NewSource(int64(g)))
+		loop(func() error {
+			batch := make([]int64, 1+rng.Intn(256))
+			for i := range batch {
+				batch[i] = rng.Int63n(1 << 40)
+			}
+			return e.IngestBatch(batch)
+		})
+	}
+	loop(func() error { return e.Checkpoint(io.Discard, runio.Int64Codec{}) })
+	loop(func() error { _, err := e.Snapshot(); return err })
+
+	// Sample the lock-free counter, so the sampler never releases epochMu
+	// itself.
+	var peak int64
+	deadline := time.Now().Add(time.Second)
+	for time.Now().Before(deadline) {
+		p := e.PendingElems()
+		peak = max(peak, p)
+		if p > 4*maxElems {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(stop)
+	wg.Wait()
+	if peak > 4*maxElems {
+		t.Fatalf("%d elements pending, over 4·MaxElems = %d: the seal trigger was starved", peak, 4*maxElems)
+	}
+	if sealed := e.Stats().SealedEpochs; sealed < 3 {
+		t.Fatalf("only %d epochs sealed: ingest made too little progress to test the trigger", sealed)
+	}
 }
 
 // TestEngineEpochPolicyTriggers exercises the count, bytes and wall-clock

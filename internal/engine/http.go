@@ -577,8 +577,8 @@ func (rd reader[T]) summary(w http.ResponseWriter, r *http.Request) {
 	}
 	raw := v.Raw
 	if raw == nil {
-		var buf bytes.Buffer
-		if err := core.SaveSummary(&buf, v.Snap.Summary, rd.codec); err != nil {
+		buf := bytes.NewBuffer(make([]byte, 0, core.SavedSize(v.Snap.Summary, rd.codec.Size())))
+		if err := core.SaveSummary(buf, v.Snap.Summary, rd.codec); err != nil {
 			WriteErr(w, err)
 			return
 		}

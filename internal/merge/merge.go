@@ -28,14 +28,23 @@ func KWay[T cmp.Ordered](lists [][]T) []T {
 // KWayInto is KWay appending into dst, so a caller that recycles merge
 // buffers (sync.Pool or an arena) avoids the per-merge output allocation.
 // dst is grown once up-front; the merged elements never alias the inputs,
-// even in the single-list fast path, which copies.
+// even in the single-list fast path, which copies. Exactly two non-empty
+// lists take a linear two-way merge instead of the heap — one comparison
+// per element rather than O(log k) — with the same tie order (the earlier
+// list first); it is the package's one two-way merge loop.
 func KWayInto[T cmp.Ordered](dst []T, lists [][]T) []T {
 	total := 0
 	nonEmpty := 0
+	var a, b []T // the first two non-empty lists, in list order
 	for _, l := range lists {
 		total += len(l)
 		if len(l) > 0 {
 			nonEmpty++
+			if a == nil {
+				a = l
+			} else if b == nil {
+				b = l
+			}
 		}
 	}
 	dst = slices.Grow(dst, total)
@@ -43,11 +52,20 @@ func KWayInto[T cmp.Ordered](dst []T, lists [][]T) []T {
 	case 0:
 		return dst
 	case 1:
-		for _, l := range lists {
-			if len(l) > 0 {
-				return append(dst, l...)
+		return append(dst, a...)
+	case 2:
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			if b[j] < a[i] {
+				dst = append(dst, b[j])
+				j++
+			} else {
+				dst = append(dst, a[i])
+				i++
 			}
 		}
+		dst = append(dst, a[i:]...)
+		return append(dst, b[j:]...)
 	}
 	lt := newMergeHeap(lists)
 	for {
@@ -123,20 +141,9 @@ func Split[T cmp.Ordered](a, b []T, keepLow bool) []T {
 }
 
 // Two merges two sorted slices; the common r=2 and pairwise-merge case.
+// Ties take a's element first.
 func Two[T cmp.Ordered](a, b []T) []T {
-	out := make([]T, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j] < a[i] {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return KWayInto(make([]T, 0, len(a)+len(b)), [][]T{a, b})
 }
 
 // mergeHeap is a binary min-heap of list cursors keyed by each list's current

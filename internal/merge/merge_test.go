@@ -2,6 +2,7 @@ package merge
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -80,6 +81,42 @@ func TestKWayTwoLists(t *testing.T) {
 	a := []int64{1, 3, 5}
 	b := []int64{2, 4, 6}
 	assertEqual(t, KWay([][]int64{a, b}), Two(a, b))
+}
+
+// TestKWayIntoTwoLists pins the linear two-way path: two non-empty lists
+// among empty ones, ties, appending after dst's existing elements, and the
+// heap's tie order (the earlier list first), seen through ±0.
+func TestKWayIntoTwoLists(t *testing.T) {
+	got := KWayInto([]int64{-1}, [][]int64{{}, {1, 2, 2, 5}, {}, {2, 2, 3}, {}})
+	assertEqual(t, got, []int64{-1, 1, 2, 2, 2, 2, 3, 5})
+
+	negZero := math.Copysign(0, -1)
+	for _, lists := range [][][]float64{
+		{{negZero, 1}, {}, {0, 1}},
+		{{}, {negZero}, {0}, {}},
+	} {
+		out := KWayInto(nil, lists)
+		if len(out) < 2 || out[0] != 0 || !math.Signbit(out[0]) || math.Signbit(out[1]) {
+			t.Fatalf("KWayInto(%v) = %v: tie did not take the earlier list first", lists, out)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 100; trial++ {
+		lists := make([][]int64, 2+rng.Intn(4))
+		var want []int64
+		for _, i := range rng.Perm(len(lists))[:2] {
+			l := make([]int64, 1+rng.Intn(40))
+			for k := range l {
+				l[k] = int64(rng.Intn(10))
+			}
+			sort.Slice(l, func(a, b int) bool { return l[a] < l[b] })
+			lists[i] = l
+			want = append(want, l...)
+		}
+		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		assertEqual(t, KWayInto(nil, lists), want)
+	}
 }
 
 func TestTwo(t *testing.T) {

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -266,9 +267,11 @@ func AppendNackFrame(dst []byte, retryAfter uint32, msg string) []byte {
 
 // ReadDataFrame reads the next data frame of an ingest body and checks it
 // against the rules every ingest receiver applies: a valid frame, of the
-// data type, whose codec kind is codec's and whose tenant field is empty
-// or names route — the tenant the body was addressed to, a safety rail
-// against one tenant's frames streamed at another tenant's route. buf is
+// data type, whose codec kind is codec's, whose tenant field is empty or
+// names route — the tenant the body was addressed to, a safety rail
+// against one tenant's frames streamed at another tenant's route — and,
+// for floating-point kinds, with no NaN element (NaN has no rank, and
+// sorting and selection order it differently). buf is
 // the caller's payload buffer, re-used when its capacity suffices; the
 // possibly grown buffer comes back with elems, the element region inside
 // it (a whole number of codec elements). A body that ends cleanly between
@@ -294,7 +297,30 @@ func ReadDataFrame[T any](r io.Reader, codec Codec[T], route string, buf []byte)
 	if len(tenant) > 0 && string(tenant) != route {
 		return buf, nil, fmt.Errorf("frame tenant %q on route tenant %q", tenant, route)
 	}
+	if i := nanIndex(h.Kind, elems); i >= 0 {
+		return buf, nil, fmt.Errorf("element %d is NaN; NaN keys have no total order", i)
+	}
 	return buf, elems, nil
+}
+
+// nanIndex returns the index of the first NaN among the elements encoded
+// in elems, or −1; integer kinds have none.
+func nanIndex(kind uint16, elems []byte) int {
+	switch kind {
+	case KindFloat64:
+		for i := 0; 8*i < len(elems); i++ {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(elems[8*i:])); v != v {
+				return i
+			}
+		}
+	case KindFloat32:
+		for i := 0; 4*i < len(elems); i++ {
+			if v := math.Float32frombits(binary.LittleEndian.Uint32(elems[4*i:])); v != v {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // splitDataPayload splits a data-frame payload into its tenant name and

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -416,5 +417,34 @@ func TestReadDataFrame(t *testing.T) {
 				t.Fatalf("error %v, want %v", err, tc.isErr)
 			}
 		})
+	}
+}
+
+// TestReadDataFrameRejectsNaN pins the NaN rule for both float kinds: the
+// first NaN element (any NaN bit pattern) fails the frame with its index,
+// while ±Inf and ±0 pass.
+func TestReadDataFrameRejectsNaN(t *testing.T) {
+	const msg = "element 2 is NaN; NaN keys have no total order"
+	quietNaN := math.Float64frombits(0x7FF8_0000_0000_0001)
+	f64, err := AppendDataFrame(nil, Float64Codec{}, "", []float64{math.Inf(-1), math.Copysign(0, -1), quietNaN, math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadDataFrame(bytes.NewReader(f64), Float64Codec{}, "", nil); err == nil || err.Error() != msg {
+		t.Fatalf("float64: error %v, want %q", err, msg)
+	}
+	f32, err := AppendDataFrame(nil, Float32Codec{}, "", []float32{1, float32(math.Inf(1)), float32(math.NaN())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadDataFrame(bytes.NewReader(f32), Float32Codec{}, "", nil); err == nil || err.Error() != msg {
+		t.Fatalf("float32: error %v, want %q", err, msg)
+	}
+	ok, err := AppendDataFrame(nil, Float64Codec{}, "", []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, elems, err := ReadDataFrame(bytes.NewReader(ok), Float64Codec{}, "", nil); err != nil || len(elems) != 32 {
+		t.Fatalf("NaN-free frame: %d element bytes, error %v", len(elems), err)
 	}
 }
